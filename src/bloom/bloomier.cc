@@ -38,12 +38,16 @@ BloomierFilter::BloomierFilter(size_t capacity,
 
     size_t m = partitionSlots_ * partitions_;
     slots_.assign(m, 0);
-    parity_.assign(m, 0);
     counts_.assign(m, 0);
     registry_.resize(partitions_);
+    segmentMod_ = FastMod(segmentSlots_);
+    partitionMod_ = FastMod(partitions_);
 
-    // Codes are pointers into an n-entry table (Equation 4).
+    // Codes are pointers into an n-entry table (Equation 4); bit 31
+    // of each slot word is reserved for its parity.
     slotWidthBits_ = addressBits(capacity_);
+    if (slotWidthBits_ > 31)
+        fatalError("BloomierFilter capacity needs codes over 31 bits");
 }
 
 unsigned
@@ -52,7 +56,7 @@ BloomierFilter::partitionOf(const Key128 &key) const
     if (partitions_ == 1)
         return 0;
     return static_cast<unsigned>(
-        checksum_.hash(key, config_.keyLen) % partitions_);
+        partitionMod_(checksum_.hash(key, config_.keyLen)));
 }
 
 void
@@ -63,7 +67,7 @@ BloomierFilter::slotsOf(const Key128 &key, unsigned partition,
     for (unsigned i = 0; i < config_.k; ++i) {
         out[i] = base + i * segmentSlots_ +
             static_cast<size_t>(
-                family_.hash(i, key, config_.keyLen) % segmentSlots_);
+                segmentMod_(family_.hash(i, key, config_.keyLen)));
     }
 }
 
@@ -80,7 +84,7 @@ BloomierFilter::encodeAt(const Key128 &key, unsigned partition,
             found = true;
             continue;
         }
-        v ^= slots_[locs[i]];
+        v ^= slots_[locs[i]] & ~kParityBit;
     }
     panicIf(!found, "encodeAt target not in key's hash neighborhood");
     CHISEL_TRACE_WRITE(Index, target, (slotWidthBits_ + 7) / 8);
@@ -101,7 +105,7 @@ BloomierFilter::lookupCode(const Key128 &key, bool *parity_ok) const
         if (parity_ok && !parityOk(locs[i]))
             *parity_ok = false;
     }
-    return v;
+    return v & ~kParityBit;
 }
 
 void
@@ -120,7 +124,15 @@ void
 BloomierFilter::flipSlotBit(size_t slot, unsigned bit)
 {
     panicIf(slot >= slots_.size(), "flipSlotBit slot out of range");
-    slots_[slot] ^= uint32_t(1) << (bit % std::max(1u, slotWidthBits_));
+    slots_[slot] ^= uint32_t(1) << (bit % 32);
+}
+
+std::vector<size_t>
+BloomierFilter::keySlots(const Key128 &key) const
+{
+    size_t locs[8];
+    slotsOf(key, partitionOf(key), locs);
+    return std::vector<size_t>(locs, locs + config_.k);
 }
 
 bool
@@ -392,8 +404,6 @@ BloomierFilter::rebuildPartition(
     // in a slot no later write will read or touch.
     std::fill(slots_.begin() + base,
               slots_.begin() + base + partitionSlots_, 0);
-    std::fill(parity_.begin() + base,
-              parity_.begin() + base + partitionSlots_, 0);
     for (auto it = peel_order.rbegin(); it != peel_order.rend(); ++it) {
         size_t i = *it;
         encodeAt(entries[i].first, p, entries[i].second,
@@ -411,7 +421,6 @@ void
 BloomierFilter::clear()
 {
     std::fill(slots_.begin(), slots_.end(), 0);
-    std::fill(parity_.begin(), parity_.end(), 0);
     std::fill(counts_.begin(), counts_.end(), 0);
     for (auto &reg : registry_)
         reg.clear();
@@ -423,8 +432,9 @@ BloomierFilter::saveState(persist::Encoder &enc) const
 {
     enc.u64(config_.seed);
     enc.u64(slots_.size());
+    // Parity bits are not persisted; loadState() recomputes them.
     for (uint32_t s : slots_)
-        enc.u32(s);
+        enc.u32(s & ~kParityBit);
     enc.u64(size_);
     // Canonical (key-sorted) order: the image of a restored filter
     // must be byte-identical to the image it was restored from, so
@@ -459,8 +469,12 @@ BloomierFilter::loadState(persist::Decoder &dec)
 
     if (dec.u64() != slots_.size())
         throw persist::DecodeError("bloomier: slot count mismatch");
-    for (size_t i = 0; i < slots_.size(); ++i)
-        writeSlot(i, dec.u32());
+    for (size_t i = 0; i < slots_.size(); ++i) {
+        uint32_t value = dec.u32();
+        if (value & kParityBit)
+            throw persist::DecodeError("bloomier: slot value over 31 bits");
+        writeSlot(i, value);
+    }
 
     uint64_t n = dec.count(20);   // Key128 (16) + code (4).
     if (n > capacity_)

@@ -154,6 +154,13 @@ class BloomierFilter
     uint32_t lookupCode(const Key128 &key,
                         bool *parity_ok = nullptr) const;
 
+    /**
+     * The k Index slots @p key hashes to, one per segment of its
+     * partition — the hash-to-slot mapping every stored image
+     * depends on (tests pin it).
+     */
+    std::vector<size_t> keySlots(const Key128 &key) const;
+
     /** Software registry membership (exact; no false positives). */
     bool contains(const Key128 &key) const;
 
@@ -205,18 +212,22 @@ class BloomierFilter
     uint64_t seed() const { return config_.seed; }
 
     /**
-     * Soft-error model: flip bit @p bit of Index slot @p slot without
-     * updating its parity.  The corruption is detectable by the
-     * parity check in lookupCode() until the slot is legitimately
-     * rewritten.
+     * Soft-error model: flip bit @p bit (mod 32) of the stored word
+     * of Index slot @p slot — a code bit or, for bit 31, the parity
+     * bit itself — without updating its parity.  The corruption is
+     * detectable by the parity check in lookupCode() until the slot
+     * is legitimately rewritten.
      */
     void flipSlotBit(size_t slot, unsigned bit);
 
-    /** True if @p slot passes its parity check. */
+    /**
+     * True if @p slot passes its parity check: bit 31 of every stored
+     * word makes the whole word's popcount even.
+     */
     bool
     parityOk(size_t slot) const
     {
-        return (popcount64(slots_[slot]) & 1u) == parity_[slot];
+        return (popcount64(slots_[slot]) & 1u) == 0;
     }
 
     /**
@@ -259,13 +270,15 @@ class BloomierFilter
     void encodeAt(const Key128 &key, unsigned partition, uint32_t code,
                   size_t target);
 
+    /** Bit 31 of a stored slot word: its even-parity bit. */
+    static constexpr uint32_t kParityBit = uint32_t(1) << 31;
+
     /** Store @p value at @p slot, keeping its parity bit current. */
     void
     writeSlot(size_t slot, uint32_t value)
     {
-        slots_[slot] = value;
-        parity_[slot] =
-            static_cast<uint8_t>(popcount64(value) & 1u);
+        slots_[slot] =
+            value | ((popcount64(value) & 1u) ? kParityBit : 0);
     }
 
     /**
@@ -286,9 +299,15 @@ class BloomierFilter
 
     H3Family family_;
     H3Hash checksum_;         ///< Partition selector.
+    FastMod segmentMod_;      ///< Reduces a hash to a segment offset.
+    FastMod partitionMod_;    ///< Reduces the checksum to a partition.
 
-    std::vector<uint32_t> slots_;     ///< The Index Table D[].
-    std::vector<uint8_t> parity_;     ///< Even-parity bit per slot.
+    /**
+     * The Index Table D[]: a code in bits 0..slotWidthBits()-1 (at
+     * most 31 bits) and the slot's even-parity bit in bit 31, so one
+     * word read serves both the XOR and its check.
+     */
+    std::vector<uint32_t> slots_;
     std::vector<uint32_t> counts_;    ///< Occupancy per slot.
     std::vector<Registry> registry_;  ///< Per-partition key registry.
     size_t size_ = 0;

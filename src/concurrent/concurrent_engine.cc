@@ -698,7 +698,7 @@ ConcurrentChisel::accessTotals() const
 {
     AccessCounters total;
     for (const Image &img : images_) {
-        const AccessCounters &c = img.engine->accessCounters();
+        AccessCounters c = img.engine->accessCounters();
         total.lookups += c.lookups;
         total.indexSegmentReads += c.indexSegmentReads;
         total.filterReads += c.filterReads;

@@ -1,6 +1,7 @@
 #include "core/engine.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -190,7 +191,8 @@ ChiselEngine::applyInjectedFaults()
         uint64_t high = results_.highWater();
         if (high > 0) {
             results_.flipBit(static_cast<uint32_t>(inj->draw(high)),
-                             static_cast<unsigned>(inj->draw(32)));
+                             static_cast<unsigned>(
+                                 inj->draw(ResultTable::kWordBits)));
         }
     }
 }
@@ -249,19 +251,58 @@ ChiselEngine::lookup(const Key128 &key) const
     return out;
 }
 
+namespace {
+
+/** This thread's access stripe: threads take stripes round-robin. */
+size_t
+accessStripeIndex(size_t stripes)
+{
+    static std::atomic<size_t> next{0};
+    thread_local const size_t mine =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return mine % stripes;
+}
+
+} // anonymous namespace
+
+AccessCounters
+ChiselEngine::accessCounters() const
+{
+    AccessCounters c = accessBase_;
+    uint64_t lookups = 0;
+    for (const AccessStripe &s : accessStripes_) {
+        lookups += s.lookups;
+        c.resultReads += s.resultReads;
+    }
+    // Every cell's Index segments, Filter and Bit-vector are read on
+    // every lookup (the probes run in parallel across cells, but each
+    // is a real memory access), so those tallies follow from the
+    // lookup count.
+    c.lookups += lookups;
+    c.indexSegmentReads += lookups * cells_.size() * config_.k;
+    c.filterReads += lookups * cells_.size();
+    c.bitvectorReads += lookups * cells_.size();
+    return c;
+}
+
+void
+ChiselEngine::resetAccessCounters()
+{
+    accessBase_ = AccessCounters{};
+    for (AccessStripe &s : accessStripes_) {
+        s.lookups = 0;
+        s.resultReads = 0;
+    }
+}
+
 LookupResult
 ChiselEngine::lookupImpl(const Key128 &key) const
 {
     LookupResult out;
     out.memoryAccesses = kLookupAccesses;
-
-    // Access accounting: every cell's Index segments, Filter and
-    // Bit-vector are read on every lookup (the probes run in
-    // parallel across cells, but each is a real memory access).
-    ++access_.lookups;
-    access_.indexSegmentReads += cells_.size() * config_.k;
-    access_.filterReads += cells_.size();
-    access_.bitvectorReads += cells_.size();
+    AccessStripe &stripe =
+        accessStripes_[accessStripeIndex(kAccessStripes)];
+    ++stripe.lookups;
 
     // All sub-cells probe in parallel; the priority encoder picks the
     // hit with the longest base.  Scanning in descending base order,
@@ -309,7 +350,7 @@ ChiselEngine::lookupImpl(const Key128 &key) const
         out.fromDefault = true;
     }
     if (out.found && !out.fromDefault)
-        ++access_.resultReads;
+        ++stripe.resultReads;
     return out;
 }
 

@@ -178,17 +178,18 @@ struct RobustnessCounters
 /**
  * Memory-access counters accumulated across lookups — the measured
  * input to the power model (every sub-cell's tables are touched on
- * every lookup; the Result Table only on a hit).  Lookups run from
- * any number of threads, so the tallies are relaxed atomics
+ * every lookup; the Result Table only on a hit).  A value snapshot:
+ * the engine counts lookups and Result reads in per-thread stripes
+ * and derives the on-chip tallies from the lookup count
  * (docs/concurrency.md).
  */
 struct AccessCounters
 {
-    concurrent::RelaxedU64 lookups;
-    concurrent::RelaxedU64 indexSegmentReads; ///< k per sub-cell per lookup.
-    concurrent::RelaxedU64 filterReads;       ///< 1 per sub-cell per lookup.
-    concurrent::RelaxedU64 bitvectorReads;    ///< 1 per sub-cell per lookup.
-    concurrent::RelaxedU64 resultReads;       ///< 1 per hit (off-chip).
+    uint64_t lookups = 0;
+    uint64_t indexSegmentReads = 0; ///< k per sub-cell per lookup.
+    uint64_t filterReads = 0;       ///< 1 per sub-cell per lookup.
+    uint64_t bitvectorReads = 0;    ///< 1 per sub-cell per lookup.
+    uint64_t resultReads = 0;       ///< 1 per hit (off-chip).
 
     uint64_t
     onChipTotal() const
@@ -366,9 +367,12 @@ class ChiselEngine
     const UpdateStats &updateStats() const { return updateStats_; }
     void resetUpdateStats() { updateStats_ = UpdateStats{}; }
 
-    /** Memory-access counters since construction / last reset. */
-    const AccessCounters &accessCounters() const { return access_; }
-    void resetAccessCounters() { access_ = AccessCounters{}; }
+    /**
+     * Memory-access counters since construction / last reset: exact,
+     * summed over every reader stripe at the time of the call.
+     */
+    AccessCounters accessCounters() const;
+    void resetAccessCounters();
 
     /** Purge dirty groups in every cell (a "resetup" housekeeping). */
     size_t purgeDirty();
@@ -496,7 +500,22 @@ class ChiselEngine
     uint64_t ttlClockMs_ = 0;
     UpdateStats updateStats_;
     RobustnessCounters robust_;
-    mutable AccessCounters access_;
+
+    /**
+     * One stripe of the lookup tallies, alone on its cache line so
+     * reader threads on different stripes never share a line.
+     */
+    struct alignas(64) AccessStripe
+    {
+        concurrent::RelaxedU64 lookups;
+        concurrent::RelaxedU64 resultReads;
+    };
+    static constexpr size_t kAccessStripes = 16;
+
+    /** Tallies restored from a snapshot; the stripes count on top. */
+    AccessCounters accessBase_;
+    /** Mutable: lookups (const) count into their thread's stripe. */
+    mutable std::array<AccessStripe, kAccessStripes> accessStripes_;
     telemetry::EngineTelemetry *telemetry_ = nullptr;
 };
 

@@ -231,11 +231,12 @@ ChiselEngine::saveState(persist::Encoder &enc) const
     enc.u64(robust_.parityDetected);
     enc.u64(robust_.parityRecoveries);
 
-    enc.u64(access_.lookups);
-    enc.u64(access_.indexSegmentReads);
-    enc.u64(access_.filterReads);
-    enc.u64(access_.bitvectorReads);
-    enc.u64(access_.resultReads);
+    AccessCounters access = accessCounters();
+    enc.u64(access.lookups);
+    enc.u64(access.indexSegmentReads);
+    enc.u64(access.filterReads);
+    enc.u64(access.bitvectorReads);
+    enc.u64(access.resultReads);
 
     // TTL lifecycle state: deadlines survive a warm restart so a
     // route's expiry is decided by its original announce, not by
@@ -307,11 +308,11 @@ ChiselEngine::restoreState(const ChiselConfig &config,
     engine->robust_.parityDetected = dec.u64();
     engine->robust_.parityRecoveries = dec.u64();
 
-    engine->access_.lookups = dec.u64();
-    engine->access_.indexSegmentReads = dec.u64();
-    engine->access_.filterReads = dec.u64();
-    engine->access_.bitvectorReads = dec.u64();
-    engine->access_.resultReads = dec.u64();
+    engine->accessBase_.lookups = dec.u64();
+    engine->accessBase_.indexSegmentReads = dec.u64();
+    engine->accessBase_.filterReads = dec.u64();
+    engine->accessBase_.bitvectorReads = dec.u64();
+    engine->accessBase_.resultReads = dec.u64();
 
     engine->ttlClockMs_ = dec.u64();
     engine->ttl_.loadState(dec);

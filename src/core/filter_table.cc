@@ -9,7 +9,7 @@
 namespace chisel {
 
 FilterTable::FilterTable(size_t capacity, unsigned key_bits)
-    : keyBits_(key_bits), entries_(capacity), parity_(capacity, 0)
+    : keyBits_(key_bits), entries_(capacity)
 {
     freeList_.reserve(capacity);
     // Hand out low slot numbers first: push high indices first.

@@ -70,7 +70,8 @@ class FilterTable
     bool
     parityOk(uint32_t slot) const
     {
-        return entryParity(entries_[slot]) == parity_[slot];
+        const Entry &e = entries_[slot];
+        return entryParity(e) == e.parity;
     }
 
     /**
@@ -111,12 +112,19 @@ class FilterTable
     void loadState(persist::Decoder &dec);
 
   private:
+    /**
+     * One Filter word.  The parity bit sits in the padding after the
+     * flags, so the check reads the same cache line as the compare.
+     */
     struct Entry
     {
         Key128 key;
         bool valid = false;
         bool dirty = false;
+        uint8_t parity = 0;   ///< Even parity over key and flags.
     };
+    static_assert(sizeof(Entry) == 24,
+                  "the parity bit must fit in Entry's padding");
 
     /** Even parity over an entry's key bits and flags. */
     static uint8_t
@@ -131,12 +139,11 @@ class FilterTable
     void
     refreshParity(uint32_t slot)
     {
-        parity_[slot] = entryParity(entries_[slot]);
+        entries_[slot].parity = entryParity(entries_[slot]);
     }
 
     unsigned keyBits_;
     std::vector<Entry> entries_;
-    std::vector<uint8_t> parity_;
     std::vector<uint32_t> freeList_;
     size_t used_ = 0;
 };

@@ -34,12 +34,8 @@ ResultTable::allocate(uint32_t entries)
         list.pop_back();
         return base;
     }
-    uint32_t base = static_cast<uint32_t>(slots_.size());
-    slots_.resize(slots_.size() + size, kNoRoute);
-    parity_.resize(slots_.size(),
-                   static_cast<uint8_t>(
-                       popcount64(static_cast<uint64_t>(kNoRoute)) &
-                       1u));
+    uint32_t base = static_cast<uint32_t>(words_.size());
+    words_.resize(words_.size() + size, makeWord(kNoRoute, 0));
     return base;
 }
 
@@ -59,35 +55,49 @@ ResultTable::free(uint32_t base, uint32_t entries)
 NextHop
 ResultTable::read(uint32_t addr) const
 {
-    panicIf(addr >= slots_.size(), "ResultTable read out of range");
+    panicIf(addr >= words_.size(), "ResultTable read out of range");
     CHISEL_TRACE_ACCESS(Result, addr, sizeof(NextHop));
-    return slots_[addr];
+    return words_[addr].hop;
 }
 
 void
-ResultTable::write(uint32_t addr, NextHop next_hop)
+ResultTable::write(uint32_t addr, NextHop next_hop, unsigned rel_length)
 {
-    panicIf(addr >= slots_.size(), "ResultTable write out of range");
+    panicIf(addr >= words_.size(), "ResultTable write out of range");
+    panicIf(rel_length > kMaxRelLength,
+            "ResultTable relative length out of range");
     CHISEL_TRACE_WRITE(Result, addr, sizeof(NextHop));
-    slots_[addr] = next_hop;
-    parity_[addr] = static_cast<uint8_t>(
-        popcount64(static_cast<uint64_t>(next_hop)) & 1u);
+    words_[addr] = makeWord(next_hop, rel_length);
+}
+
+void
+ResultTable::setRelLength(uint32_t addr, unsigned rel_length)
+{
+    panicIf(addr >= words_.size(), "ResultTable write out of range");
+    panicIf(rel_length > kMaxRelLength,
+            "ResultTable relative length out of range");
+    words_[addr] = makeWord(words_[addr].hop, rel_length);
 }
 
 bool
 ResultTable::parityOk(uint32_t addr) const
 {
-    panicIf(addr >= slots_.size(), "ResultTable parity out of range");
-    return (popcount64(static_cast<uint64_t>(slots_[addr])) & 1u) ==
-           parity_[addr];
+    // An address past the table can only come from a corrupted
+    // Bit-vector entry whose flips cancelled in its own check.
+    if (addr >= words_.size())
+        return false;
+    // The tag's own parity bit joins the popcount: an intact word
+    // (next hop, length and parity bit) has even weight.
+    const Word w = words_[addr];
+    return (popcount64((uint64_t(w.tag) << 32) | w.hop) & 1u) == 0;
 }
 
 void
 ResultTable::saveState(persist::Encoder &enc) const
 {
-    enc.u64(slots_.size());
-    for (NextHop h : slots_)
-        enc.u32(h);
+    enc.u64(words_.size());
+    for (const Word &w : words_)
+        enc.u32(w.hop);
     enc.u64(freeLists_.size());
     for (const auto &list : freeLists_) {
         enc.u64(list.size());
@@ -103,13 +113,9 @@ void
 ResultTable::loadState(persist::Decoder &dec)
 {
     uint64_t n = dec.count(4);
-    slots_.assign(n, kNoRoute);
-    parity_.assign(n, 0);
-    for (uint64_t i = 0; i < n; ++i) {
-        slots_[i] = dec.u32();
-        parity_[i] = static_cast<uint8_t>(
-            popcount64(static_cast<uint64_t>(slots_[i])) & 1u);
-    }
+    words_.assign(n, makeWord(kNoRoute, 0));
+    for (uint64_t i = 0; i < n; ++i)
+        words_[i] = makeWord(dec.u32(), 0);
     uint64_t classes = dec.count(8);
     if (classes > 33)
         throw persist::DecodeError("result table: too many size classes");
@@ -136,9 +142,12 @@ ResultTable::loadState(persist::Decoder &dec)
 void
 ResultTable::flipBit(uint32_t addr, unsigned bit)
 {
-    panicIf(addr >= slots_.size(), "ResultTable flip out of range");
-    slots_[addr] ^= static_cast<NextHop>(
-        NextHop(1) << (bit % (8 * sizeof(NextHop))));
+    panicIf(addr >= words_.size(), "ResultTable flip out of range");
+    unsigned pos = bit % kWordBits;
+    if (pos < 32)
+        words_[addr].hop ^= NextHop(1) << pos;
+    else
+        words_[addr].tag ^= static_cast<uint8_t>(1u << (pos - 32));
 }
 
 } // namespace chisel

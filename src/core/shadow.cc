@@ -1,5 +1,6 @@
 #include "core/shadow.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bitops.hh"
@@ -68,10 +69,16 @@ ShadowGroup::computeImage() const
 
     GroupImage image;
     image.bits.assign(std::max<uint64_t>(1, slots / 64), 0);
+    size_t covered = static_cast<size_t>(
+        std::count_if(cover_len.begin(), cover_len.end(),
+                      [](int len) { return len >= 0; }));
+    image.hops.reserve(covered);
+    image.lens.reserve(covered);
     for (uint64_t v = 0; v < slots; ++v) {
         if (cover_len[v] >= 0) {
             image.bits[v / 64] |= uint64_t(1) << (v % 64);
             image.hops.push_back(cover_hop[v]);
+            image.lens.push_back(static_cast<uint8_t>(cover_len[v]));
         }
     }
     return image;

@@ -34,6 +34,13 @@ struct GroupImage
     /** One next hop per set bit, in ascending slot order. */
     std::vector<NextHop> hops;
 
+    /**
+     * Per entry of @c hops: the length of its covering member above
+     * the group's base (0..stride), which the Result Table stores
+     * beside the next hop.
+     */
+    std::vector<uint8_t> lens;
+
     /** True if no slot is covered (group is empty). */
     bool
     empty() const
@@ -78,7 +85,7 @@ class ShadowGroup
 
     /**
      * The longest member covering suffix slot @p slot, if any —
-     * the in-group LPM used for matched-length reporting.
+     * the in-group LPM the soft-error fallback serves from.
      */
     std::optional<Route> longestCover(uint64_t slot) const;
 

@@ -86,12 +86,18 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
         group.resultSize = ResultTable::grantedSize(needed);
     }
     // Write only the slots that changed — the shadow copy transfers
-    // just the modified words to hardware (Section 4.4).
+    // just the modified words to hardware (Section 4.4).  A slot
+    // whose next hop is unchanged but whose covering member's length
+    // moved gets only its tag rewritten: lengths sit outside the
+    // paper's next-hop write accounting, as parity does, and a slot
+    // outside the current image keeps a length no snapshot records.
     for (uint32_t i = 0; i < needed; ++i) {
-        if (fresh_block ||
-            results_->read(group.resultBase + i) != image.hops[i]) {
-            results_->write(group.resultBase + i, image.hops[i]);
+        uint32_t addr = group.resultBase + i;
+        if (fresh_block || results_->read(addr) != image.hops[i]) {
+            results_->write(addr, image.hops[i], image.lens[i]);
             ++writes_.resultWrites;
+        } else if (results_->relLength(addr) != image.lens[i]) {
+            results_->setRelLength(addr, image.lens[i]);
         }
     }
     bitvec_.setVector(group.slot, image.bits, group.resultBase);
@@ -245,7 +251,7 @@ SubCell::recoverParity(std::vector<Route> &displaced)
             // Scrub the retained result block too; a flap restore
             // rewrites its contents, but parity must hold meanwhile.
             for (uint32_t i = 0; i < g.resultSize; ++i)
-                results_->write(g.resultBase + i, kNoRoute);
+                results_->write(g.resultBase + i, kNoRoute, 0);
             continue;
         }
         uint32_t needed = static_cast<uint32_t>(image.hops.size());
@@ -256,7 +262,8 @@ SubCell::recoverParity(std::vector<Route> &displaced)
             g.resultSize = ResultTable::grantedSize(needed);
         }
         for (uint32_t i = 0; i < needed; ++i) {
-            results_->write(g.resultBase + i, image.hops[i]);
+            results_->write(g.resultBase + i, image.hops[i],
+                            image.lens[i]);
             ++writes_.resultWrites;
         }
         bitvec_.setVector(g.slot, image.bits, g.resultBase);
@@ -290,7 +297,7 @@ SubCell::corruptIndexBit(fault::FaultInjector &injector)
 {
     if (index_.slots() == 0)
         return;
-    index_.flipSlotBit(
+    flipIndexBit(
         static_cast<size_t>(injector.draw(index_.slots())),
         static_cast<unsigned>(
             injector.draw(std::max(1u, index_.slotWidthBits()))));
@@ -351,24 +358,14 @@ SubCell::lookup(const Key128 &key) const
         return out;
 
     // Access 4: Result Table (off-chip), pointer + popcount offset.
+    // The word carries the matched length beside the next hop.
     unsigned offset = bitvec_.onesUpTo(code, v);
     uint32_t addr = bitvec_.pointer(code) + offset - 1;
     if (!results_->parityOk(addr))
         return softLookup(key, ckey);
-    NextHop nh = results_->read(addr);
-
     out.hit = true;
-    out.nextHop = nh;
-
-    // Matched length comes from the shadow state (reporting only;
-    // the hardware result is the next hop itself).
-    auto it = groups_.find(ckey);
-    panicIf(it == groups_.end(),
-            "filter matched a key with no shadow group");
-    auto cover = it->second.shadow.longestCover(v);
-    panicIf(!cover.has_value(),
-            "bit-vector hit with no covering shadow member");
-    out.matchedLength = cover->prefix.length();
+    out.nextHop = results_->read(addr);
+    out.matchedLength = base + results_->relLength(addr);
     return out;
 }
 
@@ -752,6 +749,23 @@ SubCell::loadState(persist::Decoder &dec)
     }
     if (routes_ != live_routes || dirtyCount_ != dirty)
         throw persist::DecodeError("subcell: counter cross-check failed");
+
+    // Relative lengths in the Result words are not persisted:
+    // re-derive them from the shadow copy, as the tables re-derive
+    // their parity bits.  Next hops stay exactly as saved.
+    for (const auto &[ckey, g] : groups_) {
+        (void)ckey;
+        GroupImage image = g.shadow.computeImage();
+        uint64_t needed = image.lens.size();
+        if (needed == 0)
+            continue;
+        if (needed > g.resultSize ||
+            uint64_t(g.resultBase) + needed > results_->highWater())
+            throw persist::DecodeError(
+                "subcell: result block smaller than its group");
+        for (uint32_t i = 0; i < needed; ++i)
+            results_->setRelLength(g.resultBase + i, image.lens[i]);
+    }
 }
 
 } // namespace chisel

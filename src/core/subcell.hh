@@ -15,7 +15,10 @@
  *
  * The Result Table is shared across sub-cells and passed in by the
  * engine.  A lookup makes exactly four table accesses: Index, Filter,
- * Bit-vector, Result — independent of key width.
+ * Bit-vector, Result — independent of key width — and touches nothing
+ * else: each table word carries its own parity bit, and the Result
+ * word carries the matched length.  The shadow state serves only
+ * updates and the soft-error fallback.
  */
 
 #ifndef CHISEL_CORE_SUBCELL_HH
@@ -292,6 +295,19 @@ class SubCell
 
     /** Soft-error injection: corrupt one random Index slot bit. */
     void corruptIndexBit(fault::FaultInjector &injector);
+
+    /**
+     * Soft-error injection: flip bit @p bit (mod 32) of Index slot
+     * @p slot, parity bit included (BloomierFilter::flipSlotBit).
+     */
+    void
+    flipIndexBit(size_t slot, unsigned bit)
+    {
+        index_.flipSlotBit(slot, bit);
+    }
+
+    /** Index Table slots: the range flipIndexBit() takes. */
+    size_t indexSlots() const { return index_.slots(); }
 
     /** Soft-error injection: corrupt one random Filter key bit. */
     void corruptFilterBit(fault::FaultInjector &injector);

@@ -1,5 +1,6 @@
 #include "hash/h3.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bitops.hh"
@@ -8,47 +9,54 @@
 namespace chisel {
 
 H3Hash::H3Hash(unsigned out_bits, uint64_t seed)
-    : outBits_(out_bits), outMask_(lowMask(out_bits))
+    : outBits_(out_bits)
 {
     assert(out_bits >= 1 && out_bits <= 64);
+    // The random matrix: 128 rows for key bits plus 8 rows for the
+    // length byte, drawn in that order from the seed.
+    const uint64_t out_mask = lowMask(out_bits);
+    std::array<uint64_t, Key128::maxBits + 8> rows;
     uint64_t state = seed;
-    for (auto &row : rows_)
-        row = splitmix64(state) & outMask_;
+    for (auto &row : rows)
+        row = splitmix64(state) & out_mask;
+
+    for (unsigned i = 0; i < kNibbles; ++i) {
+        for (unsigned v = 0; v < 16; ++v) {
+            uint64_t h = 0;
+            for (unsigned j = 0; j < 4; ++j) {
+                if ((v >> (3 - j)) & 1)
+                    h ^= rows[4 * i + j];
+            }
+            nibble_[i][v] = h;
+        }
+    }
+    for (unsigned len = 0; len <= Key128::maxBits; ++len) {
+        uint64_t h = 0;
+        for (unsigned i = 0; i < 8; ++i) {
+            if ((len >> i) & 1)
+                h ^= rows[Key128::maxBits + i];
+        }
+        lenFold_[len] = h;
+    }
 }
 
 uint64_t
 H3Hash::hash(const Key128 &key, unsigned len) const
 {
     assert(len <= Key128::maxBits);
-    uint64_t h = 0;
+    uint64_t h = lenFold_[len];
 
-    // XOR the rows selected by set key bits, 64 bits at a time.
-    uint64_t hi = key.hi();
-    uint64_t lo = key.lo();
-    if (len < 64) {
-        hi &= ~uint64_t(0) << (64 - len);
-        lo = 0;
-    } else if (len < 128) {
-        lo &= ~uint64_t(0) << (128 - len);
-    }
-
-    while (hi) {
-        unsigned b = static_cast<unsigned>(std::countl_zero(hi));
-        h ^= rows_[b];
-        hi &= ~(uint64_t(1) << (63 - b));
-    }
-    while (lo) {
-        unsigned b = static_cast<unsigned>(std::countl_zero(lo));
-        h ^= rows_[64 + b];
-        lo &= ~(uint64_t(1) << (63 - b));
-    }
-
-    // Fold the length byte in through its own eight rows.
-    for (unsigned i = 0; i < 8; ++i) {
-        if ((len >> i) & 1)
-            h ^= rows_[128 + i];
-    }
-    return h & outMask_;
+    // Only the nibbles holding the top len bits are read; bits at
+    // positions >= len are masked off first.
+    const uint64_t hi = key.hi() & highMask(std::min(len, 64u));
+    const uint64_t lo = len > 64 ? key.lo() & highMask(len - 64) : 0;
+    const unsigned nibbles = (len + 3) / 4;
+    const unsigned hi_nibbles = std::min(nibbles, kNibbles / 2);
+    for (unsigned i = 0; i < hi_nibbles; ++i)
+        h ^= nibble_[i][(hi >> (60 - 4 * i)) & 0xF];
+    for (unsigned i = hi_nibbles; i < nibbles; ++i)
+        h ^= nibble_[i][(lo >> (60 - 4 * (i - kNibbles / 2))) & 0xF];
+    return h;
 }
 
 H3Family::H3Family(unsigned k, unsigned out_bits, uint64_t seed)

@@ -13,6 +13,13 @@
  * bit length.  The length participates in the hash through eight extra
  * matrix rows so that keys of different lengths never alias, even when
  * their defined bits agree.
+ *
+ * The software evaluation is table-driven: the constructor folds each
+ * group of four matrix rows into a 16-entry table indexed by the
+ * matching key nibble, and the eight length rows into one word per
+ * possible length.  A hash is then ceil(len/4) table reads and XORs
+ * instead of one branch per key bit, with outputs bit-identical to the
+ * row-by-row definition above.
  */
 
 #ifndef CHISEL_HASH_H3_HH
@@ -50,10 +57,17 @@ class H3Hash
     unsigned outBits() const { return outBits_; }
 
   private:
+    /** Key nibbles: 128 key bits, four matrix rows per table. */
+    static constexpr unsigned kNibbles = Key128::maxBits / 4;
+
     unsigned outBits_;
-    uint64_t outMask_;
-    /** 128 rows for key bits plus 8 rows for the length byte. */
-    std::array<uint64_t, 136> rows_;
+    /**
+     * nibble_[i][v]: XOR of the rows of key bits 4i..4i+3 selected by
+     * the nibble value @c v (its most significant bit is key bit 4i).
+     */
+    std::array<std::array<uint64_t, 16>, kNibbles> nibble_;
+    /** lenFold_[len]: XOR of the length rows selected by @c len. */
+    std::array<uint64_t, Key128::maxBits + 1> lenFold_;
 };
 
 /**

@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
+#include "fault/fault.hh"
+#include "persist/codec.hh"
+#include "persist/snapshot.hh"
 #include "route/synth.hh"
 #include "trie/binary_trie.hh"
 
@@ -161,6 +167,81 @@ TEST(Engine, UpdateChurnMatchesOracle)
 
     // The paper's headline: essentially everything is incremental.
     EXPECT_GT(e.updateStats().incrementalFraction(), 0.999);
+}
+
+/** Every probe's (found, nextHop, matchedLength) equals the oracle's. */
+template <typename Plane>
+::testing::AssertionResult
+answersLikeOracle(const Plane &plane, const RoutingTable &truth,
+                  const std::vector<Key128> &keys)
+{
+    BinaryTrie oracle(truth);
+    for (const Key128 &key : keys) {
+        auto a = oracle.lookup(key, 32);
+        auto b = plane.lookup(key);
+        if (a.has_value() != b.found ||
+            (a && (a->nextHop != b.nextHop ||
+                   a->prefix.length() != b.matchedLength)))
+            return ::testing::AssertionFailure()
+                   << "key " << key.hi() << ": oracle "
+                   << (a ? a->prefix.str() : "miss") << ", plane hop "
+                   << b.nextHop << " len " << b.matchedLength;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Engine, MatchedLengthTracksOracleAcrossUpdatesRecoveryAndRestore)
+{
+    RoutingTable table = generateScaledTable(3000, 32, 0x3A7);
+    ChiselEngine e(table);
+    RoutingTable truth = table;
+
+    // Announce, withdraw and flap; then every probe's matched length
+    // must equal the oracle's, as must its next hop.
+    UpdateTraceGenerator gen(table, TraceProfile{}, 32, 0x3A8);
+    for (const Update &u : gen.generate(6000)) {
+        e.apply(u);
+        if (u.kind == UpdateKind::Announce)
+            truth.add(u.prefix, u.nextHop);
+        else
+            truth.remove(u.prefix);
+    }
+    auto keys = generateLookupKeys(truth, 6000, 32, 0.9, 0x3A9);
+    ASSERT_TRUE(answersLikeOracle(e, truth, keys));
+
+#if CHISEL_FAULT_INJECTION_ENABLED
+    // Recover-by-resetup on every cell: a Result word flipped by the
+    // next update makes the scrub recover them all.
+    {
+        fault::FaultInjector inj(0x3AA);
+        inj.arm(fault::FaultPoint::BitFlipResult, 1.0, 1);
+        fault::ScopedInjector scope(&inj);
+        Prefix knob = Prefix::fromCidr("198.51.100.0/24");
+        e.announce(knob, 7);
+        truth.add(knob, 7);
+    }
+    EXPECT_EQ(e.scrub().cellsRecovered, e.cellCount());
+    ASSERT_TRUE(answersLikeOracle(e, truth, keys));
+#endif
+
+    // Snapshot restore re-derives every length.
+    persist::Encoder enc;
+    e.saveState(enc);
+    persist::Decoder dec(enc.buffer());
+    auto restored = ChiselEngine::restoreState(e.config(), dec);
+    EXPECT_EQ(restored->bloomierSetups(), e.bloomierSetups());
+    ASSERT_TRUE(answersLikeOracle(*restored, truth, keys));
+
+    // Replica bootstrap: a standby installs the shipped image.
+    std::string path = ::testing::TempDir() + "engine_matched_len.snap";
+    persist::saveSnapshot(path, e, 0);
+    concurrent::ConcurrentOptions copts;
+    copts.controlThread = false;
+    concurrent::ConcurrentChisel standby(RoutingTable{}, e.config(), copts);
+    ASSERT_TRUE(standby.restoreFromSnapshot(path));
+    EXPECT_TRUE(answersLikeOracle(standby, truth, keys));
+    std::remove(path.c_str());
+    std::remove(persist::previousSnapshotPath(path).c_str());
 }
 
 TEST(Engine, ExactFindAcrossAllLengths)

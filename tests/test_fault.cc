@@ -11,12 +11,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
+#include "core/result_table.hh"
+#include "core/subcell.hh"
 #include "fault/fault.hh"
 #include "route/reader.hh"
 #include "route/synth.hh"
@@ -411,6 +418,183 @@ TEST(FaultSoftError, ResultBitFlipDetectedAndRecovered)
 {
     REQUIRE_INJECTION();
     softErrorScenario(FaultPoint::BitFlipResult, 91);
+}
+
+// ---- Targeted flips: every stored bit of a word is guarded ------------------
+
+/**
+ * A small sub-cell over 12-bit keys (base 8, stride 4), its own
+ * Result Table, the routes it holds, and the probe keys: every key
+ * that hits (one per live Result word, since base + stride = 12)
+ * plus a sample of misses.
+ */
+struct SmallCell
+{
+    ResultTable results;
+    std::unique_ptr<SubCell> cell;
+    RoutingTable truth;
+    std::vector<Key128> hits;
+    std::vector<Key128> misses;
+
+    explicit SmallCell(uint64_t seed)
+    {
+        SubCell::Config cfg;
+        cfg.range = CellRange{8, 12, false};
+        cfg.stride = 4;
+        cfg.capacity = 32;
+        cfg.keyWidth = 32;
+        cfg.seed = seed;
+        cell = std::make_unique<SubCell>(cfg, &results);
+        Rng rng(seed);
+        std::vector<Route> routes;
+        for (int i = 0; i < 16; ++i) {
+            unsigned len = static_cast<unsigned>(rng.nextRange(8, 12));
+            Prefix p(Key128(rng.next64() & 0xFFF0000000000000ull, 0),
+                     len);
+            NextHop nh = static_cast<NextHop>(rng.nextBelow(3));
+            if (!truth.find(p)) {
+                truth.add(p, nh);
+                routes.push_back(Route{p, nh});
+            }
+        }
+        std::vector<Route> displaced;
+        cell->buildFrom(routes, displaced);
+        EXPECT_TRUE(displaced.empty());
+        for (uint64_t i = 0; i < 4096; ++i) {
+            Key128 key(i << 52, 0);
+            if (cell->lookup(key).hit)
+                hits.push_back(key);
+            else if (i % 32 == 0)
+                misses.push_back(key);
+        }
+    }
+
+    /** Every probe answers like the oracle, matched length included. */
+    ::testing::AssertionResult
+    answersCorrectly() const
+    {
+        BinaryTrie oracle(truth);
+        for (const auto *keys : {&hits, &misses}) {
+            for (const Key128 &key : *keys) {
+                auto want = oracle.lookup(key, 12);
+                SubCell::Hit got = cell->lookup(key);
+                if (want.has_value() != got.hit ||
+                    (got.hit && (want->nextHop != got.nextHop ||
+                                 want->prefix.length() !=
+                                     got.matchedLength)))
+                    return ::testing::AssertionFailure()
+                           << "wrong answer for key " << (key.hi() >> 52);
+            }
+        }
+        return ::testing::AssertionSuccess();
+    }
+};
+
+TEST(FaultSoftError, EveryResultWordBitIsDetectedServedAndScrubbed)
+{
+    // Bits 0-31 are the next hop, 32 the parity bit, 33-37 the
+    // matched length: a flip of any of them must be caught by the
+    // lookup that reads the word, answered from the shadow copy, and
+    // repaired by recover-by-resetup.
+    SmallCell sc(0x5C1);
+    ASSERT_FALSE(sc.hits.empty());
+    for (unsigned bit = 0; bit < ResultTable::kWordBits; ++bit) {
+        size_t detected_words = 0;
+        for (uint32_t addr = 0; addr < sc.results.highWater(); ++addr) {
+            uint64_t before = sc.cell->faultCounters().parityDetected;
+            sc.results.flipBit(addr, bit);
+            ASSERT_FALSE(sc.results.parityOk(addr));
+            ASSERT_TRUE(sc.answersCorrectly())
+                << "addr " << addr << " bit " << bit;
+            if (sc.cell->faultCounters().parityDetected == before) {
+                // No lookup reads this word (block over-provisioning).
+                sc.results.flipBit(addr, bit);
+                continue;
+            }
+            ++detected_words;
+            ASSERT_TRUE(sc.cell->parityPending());
+            std::vector<Route> displaced;
+            sc.cell->recoverParity(displaced);
+            ASSERT_TRUE(displaced.empty());
+            EXPECT_TRUE(sc.results.parityOk(addr))
+                << "addr " << addr << " bit " << bit;
+            EXPECT_FALSE(sc.cell->parityPending());
+        }
+        // One live word per hitting key: each was caught.
+        EXPECT_EQ(detected_words, sc.hits.size()) << "bit " << bit;
+    }
+    EXPECT_TRUE(sc.answersCorrectly());
+}
+
+TEST(FaultSoftError, EveryIndexWordBitIsDetectedServedAndScrubbed)
+{
+    // Bits 0-30 hold the code (only the low slot-width bits are
+    // used) and bit 31 the parity: every one of them is covered.
+    SmallCell sc(0x5C2);
+    for (unsigned bit = 0; bit < 32; ++bit) {
+        for (size_t slot = 0; slot < sc.cell->indexSlots(); ++slot) {
+            sc.cell->flipIndexBit(slot, bit);
+            ASSERT_EQ(sc.cell->verifyParity(), 1u)
+                << "slot " << slot << " bit " << bit;
+            ASSERT_TRUE(sc.answersCorrectly())
+                << "slot " << slot << " bit " << bit;
+            std::vector<Route> displaced;
+            sc.cell->recoverParity(displaced);
+            ASSERT_TRUE(displaced.empty());
+            ASSERT_EQ(sc.cell->verifyParity(), 0u)
+                << "slot " << slot << " bit " << bit;
+        }
+    }
+    EXPECT_TRUE(sc.answersCorrectly());
+}
+
+TEST(FaultSoftError, AccessCountersExactUnderConcurrentUpdates)
+{
+    // N readers each make M lookups while a writer applies updates;
+    // the striped counters must add up exactly (run under TSan in CI,
+    // with CHISEL_THREADS readers).
+    const char *env = std::getenv("CHISEL_THREADS");
+    const unsigned readers =
+        env != nullptr && std::atoi(env) > 0
+            ? static_cast<unsigned>(std::atoi(env)) : 4;
+    const uint64_t per_reader = 20000;
+    RoutingTable table = generateScaledTable(2000, 32, 0xACC);
+    concurrent::ConcurrentOptions opts;
+    opts.controlThread = false;
+    concurrent::ConcurrentChisel plane(table, ChiselConfig{}, opts);
+    auto keys = generateLookupKeys(table, 1000, 32, 0.8, 0xACD);
+    UpdateTraceGenerator gen(table, TraceProfile{}, 32, 0xACE);
+    auto updates = gen.generate(300);
+
+    std::atomic<uint64_t> result_reads{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (unsigned r = 0; r < readers; ++r) {
+        threads.emplace_back([&, r] {
+            while (!go.load())
+                std::this_thread::yield();
+            uint64_t hits = 0;
+            for (uint64_t i = 0; i < per_reader; ++i) {
+                LookupResult res =
+                    plane.lookup(keys[(i * readers + r) % keys.size()]);
+                hits += res.found && !res.fromDefault;
+            }
+            result_reads += hits;
+        });
+    }
+    threads.emplace_back([&] {
+        while (!go.load())
+            std::this_thread::yield();
+        for (const Update &u : updates)
+            plane.apply(u);
+    });
+    go = true;
+    for (auto &t : threads)
+        t.join();
+
+    AccessCounters acc = plane.accessTotals();
+    EXPECT_EQ(acc.lookups, readers * per_reader);
+    EXPECT_EQ(acc.resultReads, result_reads.load());
 }
 
 // ---- Transactional updates: no half-applied state --------------------------

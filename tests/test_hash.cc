@@ -143,6 +143,60 @@ TEST(H3Hash, CrossRunDeterminism)
     EXPECT_NE(H3Hash(32, 0x1235).hash(k1, 32), v1);
 }
 
+/**
+ * The H3 definition evaluated one bit at a time: the XOR of the
+ * matrix rows selected by the top @p len key bits and by the bits of
+ * the length byte, with the rows drawn from the seed in the order
+ * H3Hash documents (128 key rows, then 8 length rows).
+ */
+uint64_t
+referenceH3(unsigned out_bits, uint64_t seed, const Key128 &key,
+            unsigned len)
+{
+    uint64_t rows[136];
+    uint64_t state = seed;
+    uint64_t mask = out_bits == 64 ? ~uint64_t(0)
+                                   : (uint64_t(1) << out_bits) - 1;
+    for (uint64_t &row : rows)
+        row = splitmix64(state) & mask;
+    uint64_t h = 0;
+    for (unsigned b = 0; b < len; ++b) {
+        if (key.bit(b))
+            h ^= rows[b];
+    }
+    for (unsigned i = 0; i < 8; ++i) {
+        if ((len >> i) & 1)
+            h ^= rows[128 + i];
+    }
+    return h;
+}
+
+TEST(H3Hash, TableDrivenMatchesBitLoopAtEveryLength)
+{
+    Rng rng(0x4833);
+    for (unsigned out_bits : {1u, 7u, 12u, 32u, 33u, 64u}) {
+        uint64_t seed = rng.next64();
+        H3Hash h(out_bits, seed);
+        for (unsigned len = 0; len <= Key128::maxBits; ++len) {
+            for (int i = 0; i < 8; ++i) {
+                Key128 key(rng.next64(), rng.next64());
+                ASSERT_EQ(h.hash(key, len),
+                          referenceH3(out_bits, seed, key, len))
+                    << "out_bits " << out_bits << " len " << len;
+            }
+        }
+    }
+}
+
+TEST(H3Hash, ZeroLengthHashesOnlyTheLength)
+{
+    // len == 0 selects no key rows: every key hashes alike, to the
+    // (empty) length fold.
+    H3Hash h(64, 77);
+    EXPECT_EQ(h.hash(Key128(~uint64_t(0), ~uint64_t(0)), 0), 0u);
+    EXPECT_EQ(h.hash(Key128(), 0), 0u);
+}
+
 TEST(Mix, Key128HasherSpreadsKeys)
 {
     Key128Hasher h;

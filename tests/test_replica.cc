@@ -37,6 +37,7 @@
 #include "replica/wire.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "trie/binary_trie.hh"
 
 namespace chisel {
 namespace {
@@ -400,9 +401,24 @@ TEST(Replica, SnapshotBootstrapAfterTailEviction)
     // Catch-up was the image plus at most the retained tail — never a
     // genesis replay.
     EXPECT_LE(fs.recordsApplied, ropts.tailCapacity);
-    EXPECT_TRUE(matchesTruth(
-        standby, advance(table, updates, updates.size())));
+    RoutingTable truth = advance(table, updates, updates.size());
+    EXPECT_TRUE(matchesTruth(standby, truth));
     EXPECT_GE(rlog.stats().snapshotsShipped, 1u);
+
+    // The bootstrapped standby answers like the oracle, matched
+    // length included (the image carries no lengths; they are
+    // re-derived on install).
+    BinaryTrie oracle(truth);
+    for (const Key128 &key :
+         generateLookupKeys(truth, 2000, 32, 0.9, 0xb003)) {
+        auto want = oracle.lookup(key, 32);
+        LookupResult got = standby.lookup(key);
+        ASSERT_EQ(want.has_value(), got.found);
+        if (want) {
+            ASSERT_EQ(want->nextHop, got.nextHop);
+            ASSERT_EQ(want->prefix.length(), got.matchedLength);
+        }
+    }
     std::remove((journal.path + ".spool").c_str());
 }
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/random.hh"
 #include "core/result_table.hh"
 #include "core/subcell.hh"
+#include "persist/codec.hh"
 #include "route/synth.hh"
 #include "trie/binary_trie.hh"
 
@@ -333,6 +336,118 @@ INSTANTIATE_TEST_SUITE_P(
                       SubCellParam{4, 2048, 5},
                       SubCellParam{6, 1024, 6},
                       SubCellParam{8, 2048, 7}));
+
+/**
+ * Probe every 12-bit key of smallConfig()'s universe and require the
+ * cell's (hit, nextHop, matchedLength) to equal the trie oracle's.
+ */
+::testing::AssertionResult
+answersLikeOracle(const SubCell &cell, const RoutingTable &truth)
+{
+    BinaryTrie oracle(truth);
+    for (uint64_t i = 0; i < 4096; ++i) {
+        Key128 key(i << 52, 0);
+        auto h = cell.lookup(key);
+        auto o = oracle.lookup(key, 12);
+        if (h.hit != o.has_value() ||
+            (h.hit && (h.nextHop != o->nextHop ||
+                       h.matchedLength != o->prefix.length())))
+            return ::testing::AssertionFailure()
+                   << "key " << i << ": cell hit=" << h.hit
+                   << " hop=" << h.nextHop << " len=" << h.matchedLength
+                   << ", oracle " << (o ? o->prefix.str() : "miss");
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Snapshot @p results + @p cell and restore into fresh objects. */
+std::vector<uint8_t>
+cellImage(const ResultTable &results, const SubCell &cell)
+{
+    persist::Encoder enc;
+    results.saveState(enc);
+    cell.saveState(enc);
+    return enc.buffer();
+}
+
+TEST(SubCell, MatchedLengthTracksOracleThroughChurnRecoveryAndRestore)
+{
+    // Few next hops, so one hop often spans members of different
+    // lengths: a withdraw can then change a slot's length while its
+    // next hop stays the same.
+    ResultTable results;
+    SubCell cell(smallConfig(), &results);
+    RoutingTable truth;
+    std::vector<Prefix> withdrawn;
+    std::vector<Route> displaced;
+    Rng rng(0x1E9);
+
+    auto churn = [&](SubCell &c, RoutingTable &t, Rng &r, int steps) {
+        for (int step = 0; step < steps; ++step) {
+            double op = r.nextDouble();
+            auto routes = t.routes();
+            std::sort(routes.begin(), routes.end(),
+                      [](const Route &x, const Route &y) {
+                          return x.prefix < y.prefix;
+                      });
+            if (op < 0.45 || routes.empty()) {
+                unsigned len = static_cast<unsigned>(r.nextRange(8, 12));
+                Prefix p(Key128(r.next64() & 0xFFF0000000000000ull, 0),
+                         len);
+                NextHop nh = static_cast<NextHop>(r.nextBelow(3));
+                c.announce(p, nh, displaced);
+                t.add(p, nh);
+            } else if (op < 0.8) {
+                const Route &victim = routes[r.nextBelow(routes.size())];
+                c.withdraw(victim.prefix);
+                t.remove(victim.prefix);
+                withdrawn.push_back(victim.prefix);
+            } else if (!withdrawn.empty()) {
+                // Route flap: a recently withdrawn prefix returns.
+                Prefix p = withdrawn[r.nextBelow(withdrawn.size())];
+                NextHop nh = static_cast<NextHop>(r.nextBelow(3));
+                c.announce(p, nh, displaced);
+                t.add(p, nh);
+            }
+        }
+    };
+
+    for (int round = 0; round < 6; ++round) {
+        churn(cell, truth, rng, 150);
+        ASSERT_TRUE(displaced.empty());
+        ASSERT_TRUE(answersLikeOracle(cell, truth)) << "round " << round;
+    }
+
+    // Recover-by-resetup rewrites every Result word with its length.
+    cell.recoverParity(displaced);
+    ASSERT_TRUE(displaced.empty());
+    ASSERT_TRUE(answersLikeOracle(cell, truth));
+
+    // Restore: lengths are re-derived, the image stays byte-exact.
+    std::vector<uint8_t> image = cellImage(results, cell);
+    ResultTable restored_results;
+    SubCell restored(smallConfig(), &restored_results);
+    persist::Decoder dec(image);
+    restored_results.loadState(dec);
+    restored.loadState(dec);
+    EXPECT_EQ(cellImage(restored_results, restored), image);
+    ASSERT_TRUE(answersLikeOracle(restored, truth));
+
+    // Both copies keep answering alike under further churn — lengths
+    // left in retained blocks are not part of the image, and must not
+    // leak into answers or write counts.
+    Rng rng_a(0x2E9), rng_b(0x2E9);
+    RoutingTable truth_b = truth;
+    std::vector<Prefix> withdrawn_b = withdrawn;
+    churn(cell, truth, rng_a, 400);
+    std::swap(withdrawn, withdrawn_b);
+    churn(restored, truth_b, rng_b, 400);
+    ASSERT_TRUE(displaced.empty());
+    EXPECT_TRUE(answersLikeOracle(cell, truth));
+    EXPECT_TRUE(answersLikeOracle(restored, truth_b));
+    EXPECT_EQ(cellImage(restored_results, restored),
+              cellImage(results, cell));
+}
 
 TEST(SubCell, StorageAccountingNonZero)
 {
