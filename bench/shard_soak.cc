@@ -4,20 +4,29 @@
  * fault-isolated sharded dataplane (docs/sharding.md).
  *
  * The driver re-execs itself as a --role=node child: a ShardedChisel
- * behind a sharded ChiselService, every shard running its own control
+ * behind a ChiselService, every shard running its own control
  * thread, health monitor, and journal + snapshot lane under a shared
- * persist directory, with engine-path fault points armed per shard.
+ * persist directory, with engine-path fault points armed per shard
+ * and every connection-level fault point armed on the service
+ * (stalled peers, partial writes, mid-frame resets, accept storms).
  * Client threads storm announces, withdraws, and lookups across the
  * whole keyspace while the driver SIGKILLs the node mid-storm and
  * warm-restarts it on the same port; the final cycle dies by SIGTERM
  * so the graceful drain (per-shard snapshots) is on the audited path.
+ * --shards=1 is the single-engine service drill.
  *
- * Containment is proven in-process, where the health window is
- * exact: a force-quarantined shard fails fast for its own keyspace
- * slice only, sibling slices keep serving with bounded p99, /healthz
- * stays 200 until a MAJORITY of shards are sick, and a fault-storm on
- * one shard is detected and recovered by that shard's monitor while
- * its siblings never leave Healthy.
+ * The health drills run in-process, where the health window is
+ * exact.  At every shard count, the shed demo: an induced Degraded
+ * window answers a structured Overloaded within the client's
+ * deadline, and an induced Stressed window sheds updates while
+ * lookups still serve.  With three or more shards, containment: a
+ * force-quarantined shard fails fast for its own keyspace slice only,
+ * sibling slices keep serving with bounded p99, /healthz stays 200
+ * until a MAJORITY of shards are sick, and a fault-storm on one shard
+ * is detected and recovered by that shard's monitor while its
+ * siblings never leave Healthy.  Below three shards there is no
+ * sibling majority to contain against, so those drills are skipped
+ * and the report says so (containment_ran = false).
  *
  * The audit insists, per shard:
  *
@@ -172,11 +181,21 @@ nodeMain(const SoakOptions &o)
                     r.routes);
     }
 
+    // Every connection-level fault point armed: the storm runs on a
+    // deliberately hostile transport.
+    fault::FaultInjector netFaults(o.seed + 7);
+    netFaults.arm(fault::FaultPoint::NetPartialWrite, 0.25);
+    netFaults.arm(fault::FaultPoint::NetStalledPeer, 0.05);
+    netFaults.arm(fault::FaultPoint::NetMidFrameReset, 0.01);
+    netFaults.arm(fault::FaultPoint::NetAcceptStorm, 0.25, 8);
+
     net::ServiceOptions sopts;
     sopts.port = static_cast<uint16_t>(o.port);
+    sopts.maxOutputBytes = 64 * 1024;  // Small: backpressure is live.
     sopts.idleTimeoutMs = 5000;
     sopts.writeStallMs = 800;
     sopts.drainDeadlineMs = 2000;
+    sopts.faultInjector = &netFaults;
 
     net::ChiselService service(plane, sopts);
     g_soakService = &service;
@@ -412,6 +431,75 @@ clientThread(const SoakOptions &o, uint16_t port, size_t idx,
 }
 
 /**
+ * The shed demo, run in-process so the health window is exact: a
+ * Degraded plane answers Overloaded within the client's deadline
+ * (never queues, never goes dark), and a merely Stressed plane sheds
+ * updates while still serving lookups.
+ */
+struct ShedDemo
+{
+    bool degradedOverloaded = false;
+    bool withinDeadline = false;
+    bool stressedUpdateShed = false;
+    bool stressedLookupOk = false;
+    int64_t elapsedMs = 0;
+};
+
+ShedDemo
+runShedDemo(const SoakOptions &o)
+{
+    ShedDemo demo;
+
+    RoutingTable table;
+    table.add(Prefix::fromCidr("10.0.0.0/8"), 1);
+    ShardedOptions popts;
+    popts.shards = o.shards;
+    popts.partitionBits = static_cast<unsigned>(o.partitionBits);
+    popts.engine.controlThread = false;
+    ShardedChisel plane(table, popts);
+
+    net::ChiselService service(plane, {});
+    if (!service.start())
+        return demo;
+
+    net::ClientOptions cl;
+    cl.port = service.port();
+    cl.requestTimeoutMs = 300;
+    cl.maxAttempts = 2;
+    cl.backoffBaseMs = 5;
+    cl.backoffMaxMs = 20;
+    cl.seed = o.seed;
+    net::ServiceClient client(cl);
+
+    std::vector<Key128> key = {Key128::fromIpv4(0x0A010203u)};
+    Update announce;
+    announce.prefix = Prefix::fromCidr("10.9.0.0/16");
+    announce.nextHop = 9;
+
+    // Degraded: everything fails fast with a structured status.
+    service.induceHealth(health::HealthState::Degraded, 5000);
+    uint64_t t0 = monotonicNowNs();
+    net::LookupCallResult shed = client.lookup(key);
+    demo.elapsedMs = int64_t((monotonicNowNs() - t0) / 1000000);
+    demo.degradedOverloaded =
+        shed.status == net::CallStatus::Overloaded;
+    demo.withinDeadline = demo.elapsedMs <= cl.requestTimeoutMs;
+
+    // Stressed: updates shed, lookups still serve.
+    service.induceHealth(health::HealthState::Stressed, 5000);
+    demo.stressedUpdateShed = client.update({announce}).status ==
+                              net::CallStatus::Overloaded;
+    net::LookupCallResult ok = client.lookup(key);
+    demo.stressedLookupOk = ok.status == net::CallStatus::Ok &&
+                            ok.results.size() == 1 &&
+                            ok.results[0].found &&
+                            ok.results[0].nextHop == 1;
+
+    service.stop();
+    return demo;
+}
+
+/**
  * The containment half of the acceptance bar, run in-process so the
  * health windows are exact: a force-quarantined shard sheds only its
  * own slice, siblings keep a bounded p99, and /healthz follows the
@@ -626,34 +714,55 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
                            static_cast<unsigned>(o.partitionBits));
     ChiselConfig config;
 
-    std::printf("containment demo: forced quarantine, majority rule\n");
-    ContainmentDemo demo = runContainmentDemo(o);
-    check(demo.sickSliceOverloaded,
-          "quarantined shard's slice answers Overloaded");
-    check(demo.siblingsServed,
-          "sibling slices keep serving through the quarantine");
-    check(demo.healthyP99Us > 0 && demo.healthyP99Us < 20000,
-          "healthy-shard p99 bounded during sibling quarantine");
-    check(demo.broadcastShed,
-          "broadcast write refused while any shard is sick");
-    check(demo.healthzOkOneSick,
-          "/healthz stays 200 with one sick shard");
-    check(demo.healthzRedMajority,
-          "/healthz turns 503 on a sick majority");
-    check(demo.forcedQuarantines == 1,
-          "forced quarantine counted per shard");
-    std::printf("  healthy-shard p99 %llu us\n",
-                static_cast<unsigned long long>(demo.healthyP99Us));
+    std::printf("shed demo: induced Degraded/Stressed windows\n");
+    ShedDemo shed = runShedDemo(o);
+    check(shed.degradedOverloaded,
+          "degraded plane answers structured Overloaded");
+    check(shed.withinDeadline,
+          "overloaded reply lands within the request deadline");
+    check(shed.stressedUpdateShed, "stressed plane sheds updates first");
+    check(shed.stressedLookupOk, "stressed plane still serves lookups");
 
-    std::printf("detect/recover drill: fault storm on one shard\n");
-    DetectRecover dr = runDetectRecover(o);
-    check(dr.detected, "victim shard's monitor detected the storm");
-    check(dr.recovered, "victim shard recovered to Healthy");
-    check(dr.siblingsHealthy,
-          "siblings never left Healthy during the drill");
-    std::printf("  detect %lld ms, recover %lld ms\n",
-                static_cast<long long>(dr.detectMs),
-                static_cast<long long>(dr.recoverMs));
+    // Containment needs a sick shard with a healthy majority beside
+    // it; below three shards the drills have nothing to prove.
+    const bool containmentRan = o.shards >= 3;
+    ContainmentDemo demo;
+    DetectRecover dr;
+    if (containmentRan) {
+        std::printf(
+            "containment demo: forced quarantine, majority rule\n");
+        demo = runContainmentDemo(o);
+        check(demo.sickSliceOverloaded,
+              "quarantined shard's slice answers Overloaded");
+        check(demo.siblingsServed,
+              "sibling slices keep serving through the quarantine");
+        check(demo.healthyP99Us > 0 && demo.healthyP99Us < 20000,
+              "healthy-shard p99 bounded during sibling quarantine");
+        check(demo.broadcastShed,
+              "broadcast write refused while any shard is sick");
+        check(demo.healthzOkOneSick,
+              "/healthz stays 200 with one sick shard");
+        check(demo.healthzRedMajority,
+              "/healthz turns 503 on a sick majority");
+        check(demo.forcedQuarantines == 1,
+              "forced quarantine counted per shard");
+        std::printf("  healthy-shard p99 %llu us\n",
+                    static_cast<unsigned long long>(demo.healthyP99Us));
+
+        std::printf("detect/recover drill: fault storm on one shard\n");
+        dr = runDetectRecover(o);
+        check(dr.detected, "victim shard's monitor detected the storm");
+        check(dr.recovered, "victim shard recovered to Healthy");
+        check(dr.siblingsHealthy,
+              "siblings never left Healthy during the drill");
+        std::printf("  detect %lld ms, recover %lld ms\n",
+                    static_cast<long long>(dr.detectMs),
+                    static_cast<long long>(dr.recoverMs));
+    } else {
+        std::printf("containment + detect/recover drills skipped: "
+                    "need >= 3 shards\n");
+        dr.siblingsHealthy = false;  // Unproven, so never reported.
+    }
 
     // A kernel-chosen free port, reused by every node incarnation so
     // clients ride through restarts with plain reconnects.
@@ -913,6 +1022,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         reg.gauge("shard.soak.recover_ms").set(double(dr.recoverMs));
         reg.gauge("shard.soak.healthy_p99_us")
             .set(double(demo.healthyP99Us));
+        reg.gauge("shard.soak.shed_demo_ms").set(double(shed.elapsedMs));
     }
 
     // ---- chisel.shard.v1 artifact -----------------------------------
@@ -937,6 +1047,12 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("oracle_mismatches", uint64_t(oracleWrong));
         w.member("warm_sources_ok", warmSourcesOk);
         w.member("drain_exit_ok", drainExitOk);
+        w.member("shed_demo_overloaded", shed.degradedOverloaded);
+        w.member("shed_demo_within_deadline", shed.withinDeadline);
+        w.member("shed_demo_ms", uint64_t(shed.elapsedMs));
+        w.member("stressed_update_shed", shed.stressedUpdateShed);
+        w.member("stressed_lookup_ok", shed.stressedLookupOk);
+        w.member("containment_ran", containmentRan);
         w.member("force_quarantines", demo.forcedQuarantines);
         w.member("sick_slice_overloaded", demo.sickSliceOverloaded);
         w.member("siblings_served", demo.siblingsServed);

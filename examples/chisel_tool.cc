@@ -16,7 +16,7 @@
  *   example_chisel_tool journal-dump <journal>
  *
  * RPC service subcommands (docs/service.md; strict --flag parsing):
- *   example_chisel_tool serve    --port=N [--table=f] [--journal=f] ...
+ *   example_chisel_tool serve    --port=N [--table=f] [--dir=d] ...
  *   example_chisel_tool lookup   --port=N --key=ADDR [--key=ADDR ...]
  *   example_chisel_tool announce --port=N --prefix=CIDR --next-hop=N
  *   example_chisel_tool withdraw --port=N --prefix=CIDR
@@ -32,17 +32,18 @@
 #include <memory>
 #include <thread>
 
-#include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
 #include "health/monitor.hh"
 #include "net/client.hh"
 #include "net/server.hh"
+#include "obs/introspect.hh"
 #include "persist/journal.hh"
 #include "persist/recovery.hh"
 #include "persist/snapshot.hh"
 #include "route/reader.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 #include "sim/stats.hh"
 #include "telemetry/cli.hh"
 
@@ -64,7 +65,7 @@ usage()
         "  chisel_tool recover   <table.txt> <journal|-> [image]\n"
         "  chisel_tool journal-dump <journal>\n"
         "service subcommands (--help on each for flags):\n"
-        "  chisel_tool serve    --port=N [--table=f] [--journal=f]\n"
+        "  chisel_tool serve    --port=N [--table=f] [--dir=d]\n"
         "  chisel_tool lookup   --port=N --key=ADDR [--key=ADDR ...]\n"
         "  chisel_tool announce --port=N --prefix=CIDR --next-hop=N\n"
         "  chisel_tool withdraw --port=N --prefix=CIDR\n");
@@ -369,7 +370,7 @@ serveSignal(int)
 int
 serveCmd(int argc, char **argv)
 {
-    std::string tablePath, journalPath, snapshotPath, portFile;
+    std::string tablePath, dir, portFile;
     uint64_t port = 0, induceDegradedMs = 0;
     net::ServiceOptions sopts;
     uint64_t maxConnections = sopts.maxConnections;
@@ -384,13 +385,11 @@ serveCmd(int argc, char **argv)
     flags.u64Flag("port", "loopback port to bind (0 = ephemeral)",
                   &port)
         .stringFlag("table", "initial routing table file", &tablePath)
-        .stringFlag("journal",
-                    "journal path: recover from it, then append "
-                    "(the durable-ack gate)",
-                    &journalPath)
-        .stringFlag("snapshot",
-                    "snapshot path: recovery input and drain output",
-                    &snapshotPath)
+        .stringFlag("dir",
+                    "persist directory: per-shard journals (the "
+                    "durable-ack gate) and drain snapshots; a restart "
+                    "recovers from it",
+                    &dir)
         .stringFlag("port-file",
                     "write the bound port here once listening",
                     &portFile)
@@ -416,36 +415,25 @@ serveCmd(int argc, char **argv)
     if (!flags.parseStrict(argc, argv))
         return flags.helpRequested() ? 0 : 2;
 
-    // Boot state: recover when any durable input is named, else the
-    // table file, else empty.
+    // Boot state: the table file (or empty) seeds a fresh plane; with
+    // --dir, each shard first recovers its own journal + snapshot lane.
     RoutingTable table;
-    ChiselConfig config;
-    if (!journalPath.empty() || !snapshotPath.empty()) {
-        persist::RecoveryOptions ropts;
-        ropts.journalPath = journalPath;
-        ropts.snapshotPath = snapshotPath;
-        if (!tablePath.empty())
-            ropts.initialTable = readTableFile(tablePath);
-        ropts.config = configFor(ropts.initialTable);
-        persist::RecoveryReport rec = persist::recoverEngine(ropts);
-        std::printf("recovered %zu routes (source=%s, last-seq=%llu)\n",
-                    rec.engine->routeCount(),
-                    persist::recoverySourceName(rec.source),
-                    static_cast<unsigned long long>(rec.lastSeq));
-        table = rec.engine->exportTable();
-        config = rec.engine->config();
-    } else if (!tablePath.empty()) {
+    if (!tablePath.empty())
         table = readTableFile(tablePath);
-        config = configFor(table);
-    }
-
-    std::unique_ptr<persist::UpdateJournal> journal;
-    if (!journalPath.empty())
-        journal = std::make_unique<persist::UpdateJournal>(
-            journalPath, configFingerprint(config));
+    shard::ShardedOptions popts;
+    popts.config = configFor(table);
+    popts.persistDir = dir;
 
     telemetry::TelemetrySession session(topts);
-    concurrent::ConcurrentChisel engine(table, config);
+    shard::ShardedChisel plane(table, popts);
+    for (size_t i = 0; i < plane.recovery().size(); ++i) {
+        const shard::ShardRecovery &rec = plane.recovery()[i];
+        std::printf("shard %zu: recovered %zu routes (source=%s, "
+                    "last-seq=%llu)\n",
+                    i, rec.routes,
+                    persist::recoverySourceName(rec.source),
+                    static_cast<unsigned long long>(rec.lastSeq));
+    }
 
     sopts.port = static_cast<uint16_t>(port);
     sopts.maxConnections = maxConnections;
@@ -453,11 +441,11 @@ serveCmd(int argc, char **argv)
     sopts.idleTimeoutMs = static_cast<int>(idleTimeoutMs);
     sopts.writeStallMs = static_cast<int>(writeStallMs);
     sopts.drainDeadlineMs = static_cast<int>(drainDeadlineMs);
-    sopts.drainSnapshotPath = snapshotPath;
     if (session.enabled())
         sopts.metrics = &session.registry();
-    session.attachIntrospection(engine);
-    net::ChiselService service(engine, journal.get(), sopts);
+    if (session.introspection() != nullptr)
+        session.introspection()->attachShards(&plane);
+    net::ChiselService service(plane, sopts);
     if (!service.start())
         return 1;
     if (induceDegradedMs > 0)
@@ -473,7 +461,7 @@ serveCmd(int argc, char **argv)
     std::signal(SIGINT, serveSignal);
     std::printf("serving %zu routes on 127.0.0.1:%u "
                 "(SIGTERM drains)\n",
-                engine.routeCount(), service.port());
+                plane.routeCount(), service.port());
     std::fflush(stdout);
 
     while (service.running())

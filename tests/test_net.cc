@@ -6,7 +6,8 @@
  * with backpressure, shed-before-queue under induced health states,
  * admission-token metering, ack-implies-durable under a torn
  * journal), client retry/backoff/reconnect behaviour, and the
- * graceful-drain reply flush.
+ * graceful-drain reply flush.  Every service test runs against a
+ * one-shard and a four-shard plane.
  */
 
 #include <gtest/gtest.h>
@@ -14,14 +15,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "concurrent/concurrent_engine.hh"
-#include "core/engine.hh"
 #include "fault/fault.hh"
 #include "health/monitor.hh"
 #include "net/client.hh"
@@ -29,10 +29,11 @@
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "persist/codec.hh"
-#include "persist/journal.hh"
+#include "persist/recovery.hh"
 #include "persist/snapshot.hh"
 #include "route/table.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 
 namespace chisel {
 namespace {
@@ -47,8 +48,6 @@ namespace {
     GTEST_SKIP() << "fault injection compiled out"
 #endif
 
-using concurrent::ConcurrentChisel;
-using concurrent::ConcurrentOptions;
 using fault::FaultInjector;
 using fault::FaultPoint;
 using net::CallStatus;
@@ -60,7 +59,8 @@ using net::RpcMessage;
 using net::ServiceClient;
 using net::ServiceOptions;
 using net::StatusCode;
-using persist::UpdateJournal;
+using shard::ShardedChisel;
+using shard::ShardedOptions;
 
 // ---- Helpers ---------------------------------------------------------
 
@@ -75,14 +75,14 @@ waitUntil(const std::function<bool()> &cond, int limit_ms = 5000)
     return cond();
 }
 
-struct TempFile
+struct TempDir
 {
-    explicit TempFile(std::string name)
+    explicit TempDir(std::string name)
         : path(::testing::TempDir() + "chisel_net_" + std::move(name))
     {
-        std::remove(path.c_str());
+        std::filesystem::remove_all(path);
     }
-    ~TempFile() { std::remove(path.c_str()); }
+    ~TempDir() { std::filesystem::remove_all(path); }
     std::string path;
 };
 
@@ -102,20 +102,23 @@ announceOf(uint32_t addr, unsigned len, NextHop hop)
     return u;
 }
 
-/** A tiny engine with two known routes and no control thread. */
+/**
+ * A tiny plane with two known routes and no control threads.  An
+ * empty @p persist_dir runs without journals, so no update is ever
+ * acked.
+ */
 struct Harness
 {
-    explicit Harness(UpdateJournal *journal_in = nullptr,
+    explicit Harness(size_t shards, std::string persist_dir = {},
                      ServiceOptions opts = {})
     {
         table.add(v4Prefix(0x0A000000u, 8), 100);    // 10.0.0.0/8
         table.add(v4Prefix(0x0A010000u, 16), 200);   // 10.1.0.0/16
-        ConcurrentOptions copts;
-        copts.controlThread = false;
-        engine = std::make_unique<ConcurrentChisel>(table, config,
-                                                    copts);
-        service = std::make_unique<ChiselService>(*engine, journal_in,
-                                                  opts);
+        popts.shards = shards;
+        popts.engine.controlThread = false;
+        popts.persistDir = std::move(persist_dir);
+        plane = std::make_unique<ShardedChisel>(table, popts);
+        service = std::make_unique<ChiselService>(*plane, opts);
     }
 
     ClientOptions clientOptions(int attempts = 4,
@@ -131,8 +134,8 @@ struct Harness
     }
 
     RoutingTable table;
-    ChiselConfig config;
-    std::unique_ptr<ConcurrentChisel> engine;
+    ShardedOptions popts;
+    std::unique_ptr<ShardedChisel> plane;
     std::unique_ptr<ChiselService> service;
 };
 
@@ -337,9 +340,16 @@ TEST(NetWire, BatchPastLimitPoisons)
 
 // ---- End-to-end serve path -------------------------------------------
 
-TEST(NetService, ServesLookupsAndPong)
+/** Service tests, parameterized by the plane's shard count. */
+class NetService : public ::testing::TestWithParam<size_t>
+{};
+
+INSTANTIATE_TEST_SUITE_P(Shards, NetService,
+                         ::testing::Values(size_t(1), size_t(4)));
+
+TEST_P(NetService, ServesLookupsAndPong)
 {
-    Harness h;
+    Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions());
 
@@ -355,30 +365,30 @@ TEST(NetService, ServesLookupsAndPong)
     EXPECT_TRUE(r.results[1].found);
     EXPECT_EQ(r.results[1].nextHop, 100u);   // 10.0.0.0/8.
     EXPECT_FALSE(r.results[2].found);
-    EXPECT_EQ(r.generation, h.engine->generation());
+    EXPECT_EQ(r.generation, h.plane->generation());
 
     net::PingCallResult p = client.ping();
     ASSERT_EQ(p.status, CallStatus::Ok);
-    EXPECT_EQ(p.routes, h.engine->routeCount());
+    EXPECT_EQ(p.routes, h.plane->routeCount());
     EXPECT_FALSE(p.draining);
 }
 
-TEST(NetService, UpdatesApplyAndAckDurably)
+TEST_P(NetService, UpdatesApplyAndAckDurably)
 {
-    TempFile jf("acks.journal");
-    ChiselConfig config;
-    UpdateJournal journal(jf.path, configFingerprint(config));
-    Harness h(&journal);
+    TempDir dir("acks");
+    Harness h(GetParam(), dir.path);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions());
 
-    std::vector<Update> updates = {announceOf(0xC0A80000u, 16, 777)};
-    net::UpdateCallResult r = client.update(updates);
+    Update u = announceOf(0xC0A80000u, 16, 777);
+    net::UpdateCallResult r = client.update({u});
     ASSERT_EQ(r.status, CallStatus::Ok);
     ASSERT_EQ(r.acks.size(), 1u);
     EXPECT_TRUE(r.acks[0].acked);
     EXPECT_GE(r.durableSeq, r.acks[0].seq);
-    EXPECT_EQ(journal.lastDurableSeq(), r.durableSeq);
+    // The ack gate reads the owning shard's durable head.
+    EXPECT_EQ(h.plane->lastDurableSeq(h.plane->shardOf(u.prefix)),
+              r.durableSeq);
 
     // The route serves immediately.
     net::LookupCallResult l =
@@ -388,40 +398,46 @@ TEST(NetService, UpdatesApplyAndAckDurably)
     EXPECT_EQ(l.results[0].nextHop, 777u);
 }
 
-TEST(NetService, TornJournalWriteNeverAcks)
+TEST_P(NetService, TornJournalWriteNeverAcks)
 {
     REQUIRE_INJECTION();
-    TempFile jf("torn.journal");
-    ChiselConfig config;
-    UpdateJournal journal(jf.path, configFingerprint(config));
+    TempDir dir("torn");
     FaultInjector inj(41);
     inj.arm(FaultPoint::JournalTornWrite, 1.0, 1);
     ServiceOptions sopts;
     sopts.faultInjector = &inj;
-    Harness h(&journal, sopts);
+    Harness h(GetParam(), dir.path, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions(/*attempts=*/1));
 
+    // Every update below lands on one shard (same top byte), whose
+    // journal append runs on the serving thread inside the shard's
+    // writer lock — where the armed torn-write point fires.
+    std::vector<Update> batch = {announceOf(0xC0A80000u, 16, 1),
+                                 announceOf(0xC0A90000u, 16, 2)};
+    Update later = announceOf(0xC0AA0000u, 16, 3);
+    size_t shard = h.plane->shardOf(later.prefix);
+    for (const Update &u : batch)
+        ASSERT_EQ(h.plane->shardOf(u.prefix), shard);
+
     // The torn write latches the journal: nothing after it is ever
     // fsync-covered, so no update in the batch may be acked.
-    net::UpdateCallResult r =
-        client.update({announceOf(0xC0A80000u, 16, 1),
-                       announceOf(0xC0A90000u, 16, 2)});
+    net::UpdateCallResult r = client.update(batch);
     ASSERT_EQ(r.status, CallStatus::Ok);
     ASSERT_EQ(r.acks.size(), 2u);
     EXPECT_FALSE(r.acks[0].acked);
     EXPECT_FALSE(r.acks[1].acked);
 
     // Still torn on the next batch — the promise stays withdrawn.
-    r = client.update({announceOf(0xC0AA0000u, 16, 3)});
+    r = client.update({later});
     ASSERT_EQ(r.status, CallStatus::Ok);
     EXPECT_FALSE(r.acks[0].acked);
     EXPECT_GE(h.service->stats().unacked, 3u);
 }
 
-TEST(NetService, EmptyBatchAndExpireAreRejected)
+TEST_P(NetService, EmptyBatchAndExpireAreRejected)
 {
-    Harness h;
+    Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions(/*attempts=*/1));
 
@@ -437,9 +453,9 @@ TEST(NetService, EmptyBatchAndExpireAreRejected)
 
 // ---- Load shedding ---------------------------------------------------
 
-TEST(NetService, DegradedShedsEverythingWithinDeadline)
+TEST_P(NetService, DegradedShedsEverythingWithinDeadline)
 {
-    Harness h;
+    Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
     h.service->induceHealth(health::HealthState::Degraded, 60000);
     ServiceClient client(h.clientOptions(/*attempts=*/1,
@@ -460,9 +476,9 @@ TEST(NetService, DegradedShedsEverythingWithinDeadline)
     EXPECT_GE(h.service->stats().overloaded, 2u);
 }
 
-TEST(NetService, StressedShedsUpdatesButServesLookups)
+TEST_P(NetService, StressedShedsUpdatesButServesLookups)
 {
-    Harness h;
+    Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
     h.service->induceHealth(health::HealthState::Stressed, 60000);
     ServiceClient client(h.clientOptions(/*attempts=*/1));
@@ -475,9 +491,9 @@ TEST(NetService, StressedShedsUpdatesButServesLookups)
     EXPECT_EQ(h.service->stats().shedUpdates, 1u);
 }
 
-TEST(NetService, InducedHealthExpires)
+TEST_P(NetService, InducedHealthExpires)
 {
-    Harness h;
+    Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
     h.service->induceHealth(health::HealthState::Degraded, 50);
     ServiceClient client(h.clientOptions(/*attempts=*/1));
@@ -488,20 +504,24 @@ TEST(NetService, InducedHealthExpires)
               CallStatus::Ok);
 }
 
-TEST(NetService, AdmissionTokensMeterUpdatesWhileHealthy)
+TEST_P(NetService, AdmissionTokensMeterUpdatesWhileHealthy)
 {
     ServiceOptions sopts;
     sopts.admission.enabled = true;
     sopts.admission.announceTokensPerSec = 0.001;
     sopts.admission.tokenBurst = 2.0;
-    Harness h(nullptr, sopts);
+    Harness h(GetParam(), {}, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions(/*attempts=*/1));
 
     // The burst admits two announces; the third is shed even though
-    // the engine is perfectly Healthy.
-    EXPECT_EQ(client.update({announceOf(0xC0A80000u, 16, 1)}).status,
-              CallStatus::Ok);
+    // the plane is perfectly Healthy.  Without a persistDir there is
+    // no durable history to promise, so admitted updates go un-acked.
+    net::UpdateCallResult first =
+        client.update({announceOf(0xC0A80000u, 16, 1)});
+    EXPECT_EQ(first.status, CallStatus::Ok);
+    ASSERT_EQ(first.acks.size(), 1u);
+    EXPECT_FALSE(first.acks[0].acked);
     EXPECT_EQ(client.update({announceOf(0xC0A90000u, 16, 2)}).status,
               CallStatus::Ok);
     EXPECT_EQ(client.update({announceOf(0xC0AA0000u, 16, 3)}).status,
@@ -510,11 +530,11 @@ TEST(NetService, AdmissionTokensMeterUpdatesWhileHealthy)
 
 // ---- Connection deadlines and backpressure ---------------------------
 
-TEST(NetService, IdleConnectionIsDropped)
+TEST_P(NetService, IdleConnectionIsDropped)
 {
     ServiceOptions sopts;
     sopts.idleTimeoutMs = 60;
-    Harness h(nullptr, sopts);
+    Harness h(GetParam(), {}, sopts);
     ASSERT_TRUE(h.service->start());
 
     int fd = net::connectLoopback(h.service->port());
@@ -529,7 +549,7 @@ TEST(NetService, IdleConnectionIsDropped)
         [&] { return h.service->stats().idleDisconnects >= 1; }));
 }
 
-TEST(NetService, StalledPeerTripsBackpressureThenWriteStall)
+TEST_P(NetService, StalledPeerTripsBackpressureThenWriteStall)
 {
     REQUIRE_INJECTION();
     ServiceOptions sopts;
@@ -541,7 +561,7 @@ TEST(NetService, StalledPeerTripsBackpressureThenWriteStall)
     // queue, reading pauses, and the stall deadline disconnects.
     inj.arm(FaultPoint::NetStalledPeer, 1.0);
     sopts.faultInjector = &inj;
-    Harness h(nullptr, sopts);
+    Harness h(GetParam(), {}, sopts);
     ASSERT_TRUE(h.service->start());
 
     int fd = net::connectLoopback(h.service->port());
@@ -558,13 +578,13 @@ TEST(NetService, StalledPeerTripsBackpressureThenWriteStall)
     net::closeFd(fd);
 }
 
-TEST(NetService, PartialWritesStillMakeProgress)
+TEST_P(NetService, PartialWritesStillMakeProgress)
 {
     ServiceOptions sopts;
     FaultInjector inj(44);
     inj.arm(FaultPoint::NetPartialWrite, 1.0);
     sopts.faultInjector = &inj;
-    Harness h(nullptr, sopts);
+    Harness h(GetParam(), {}, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions());
 
@@ -573,14 +593,14 @@ TEST(NetService, PartialWritesStillMakeProgress)
     EXPECT_EQ(r.results.size(), 512u);
 }
 
-TEST(NetService, ClientSurvivesMidFrameReset)
+TEST_P(NetService, ClientSurvivesMidFrameReset)
 {
     REQUIRE_INJECTION();
     ServiceOptions sopts;
     FaultInjector inj(45);
     inj.arm(FaultPoint::NetMidFrameReset, 1.0, 1);
     sopts.faultInjector = &inj;
-    Harness h(nullptr, sopts);
+    Harness h(GetParam(), {}, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions());
 
@@ -593,14 +613,14 @@ TEST(NetService, ClientSurvivesMidFrameReset)
     EXPECT_GE(client.stats().reconnects, 2u);
 }
 
-TEST(NetService, AcceptStormRefusalsAreAbsorbedByRetry)
+TEST_P(NetService, AcceptStormRefusalsAreAbsorbedByRetry)
 {
     REQUIRE_INJECTION();
     ServiceOptions sopts;
     FaultInjector inj(46);
     inj.arm(FaultPoint::NetAcceptStorm, 1.0, 2);
     sopts.faultInjector = &inj;
-    Harness h(nullptr, sopts);
+    Harness h(GetParam(), {}, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions(/*attempts=*/8));
 
@@ -611,9 +631,9 @@ TEST(NetService, AcceptStormRefusalsAreAbsorbedByRetry)
         waitUntil([&] { return h.service->stats().refused >= 2; }));
 }
 
-TEST(NetService, GarbageBytesDisconnectTheSender)
+TEST_P(NetService, GarbageBytesDisconnectTheSender)
 {
-    Harness h;
+    Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
     int fd = net::connectLoopback(h.service->port());
     ASSERT_GE(fd, 0);
@@ -677,16 +697,21 @@ TEST(NetClient, DeadlineCapsASilentServer)
 
 // ---- Graceful drain --------------------------------------------------
 
-TEST(NetService, DrainFlushesInFlightRepliesThenCloses)
+TEST_P(NetService, DrainFlushesInFlightRepliesThenCloses)
 {
-    TempFile jf("drain.journal");
-    TempFile snap("drain.snapshot");
-    ChiselConfig config;
-    UpdateJournal journal(jf.path, configFingerprint(config));
-    ServiceOptions sopts;
-    sopts.drainSnapshotPath = snap.path;
-    Harness h(&journal, sopts);
+    TempDir dir("drain");
+    Harness h(GetParam(), dir.path);
     ASSERT_TRUE(h.service->start());
+
+    // One acked update, so the drain snapshot has a journal tail to
+    // cover.
+    {
+        ServiceClient client(h.clientOptions());
+        net::UpdateCallResult r =
+            client.update({announceOf(0xC0A80000u, 16, 777)});
+        ASSERT_EQ(r.status, CallStatus::Ok);
+        ASSERT_TRUE(r.acks[0].acked);
+    }
 
     int fd = net::connectLoopback(h.service->port());
     ASSERT_GE(fd, 0);
@@ -723,15 +748,35 @@ TEST(NetService, DrainFlushesInFlightRepliesThenCloses)
     h.service->stop();
     EXPECT_TRUE(h.service->stats().drained);
 
-    // The final snapshot restores a working engine.
-    persist::SnapshotLoadResult loaded =
-        persist::loadSnapshot(snap.path, &config);
-    EXPECT_EQ(loaded.status, persist::SnapshotLoadStatus::Ok);
+    // Every shard lane's final snapshot loads...
+    for (size_t i = 0; i < h.plane->shards(); ++i) {
+        persist::SnapshotLoadResult loaded = persist::loadSnapshot(
+            h.plane->shardDir(i) + "/snapshot.chs", &h.popts.config);
+        EXPECT_EQ(loaded.status, persist::SnapshotLoadStatus::Ok)
+            << "shard " << i;
+    }
+
+    // ...and a plane reopened on the same directory restarts warm
+    // from them: no fallbacks, and no journal tail left to replay.
+    h.service.reset();
+    h.plane.reset();
+    ShardedChisel reopened(RoutingTable{}, h.popts);
+    ASSERT_EQ(reopened.recovery().size(), GetParam());
+    for (size_t i = 0; i < GetParam(); ++i) {
+        const shard::ShardRecovery &rec = reopened.recovery()[i];
+        EXPECT_EQ(rec.source, persist::RecoverySource::Snapshot)
+            << "shard " << i;
+        EXPECT_EQ(rec.fallbacks, 0u) << "shard " << i;
+        EXPECT_EQ(rec.recordsReplayed, 0u) << "shard " << i;
+    }
+    LookupResult got = reopened.lookup(Key128::fromIpv4(0xC0A80001u));
+    EXPECT_TRUE(got.found);
+    EXPECT_EQ(got.nextHop, 777u);
 }
 
-TEST(NetService, NewConnectionsRefusedWhileDraining)
+TEST_P(NetService, NewConnectionsRefusedWhileDraining)
 {
-    Harness h;
+    Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
     uint16_t port = h.service->port();
     h.service->requestDrain();
@@ -748,9 +793,9 @@ TEST(NetService, NewConnectionsRefusedWhileDraining)
     h.service->stop();
 }
 
-TEST(NetService, StopIsIdempotentAndRestartable)
+TEST_P(NetService, StopIsIdempotentAndRestartable)
 {
-    Harness h;
+    Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
     EXPECT_FALSE(h.service->start());   // Already running.
     h.service->stop();

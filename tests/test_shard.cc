@@ -247,20 +247,23 @@ TEST(ShardedBasics, MatchesTrieOracle)
     RoutingTable table = generateScaledTable(2000, 32, /*seed=*/3);
     table.add(v4Prefix(0x40000000u, 4), 901);  // broadcast routes
     table.add(v4Prefix(0, 0), 902);
-
-    ShardedChisel plane(table, smallOptions(4, 8));
     BinaryTrie oracle(table);
 
-    for (uint32_t i = 0; i < 4096; ++i) {
-        Key128 key =
-            Key128::fromIpv4(0x01000000u + i * 2654435761u);
-        LookupResult got = plane.lookup(key);
-        std::optional<Route> want = oracle.lookup(key, 32);
-        ASSERT_EQ(got.found, want.has_value()) << "key " << i;
-        if (want) {
-            ASSERT_EQ(got.nextHop, want->nextHop) << "key " << i;
-            ASSERT_EQ(got.matchedLength, want->prefix.length())
-                << "key " << i;
+    // Four shards, and the one-shard plane a single-engine node runs.
+    for (size_t shards : {size_t(4), size_t(1)}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        ShardedChisel plane(table, smallOptions(shards, 8));
+        for (uint32_t i = 0; i < 4096; ++i) {
+            Key128 key =
+                Key128::fromIpv4(0x01000000u + i * 2654435761u);
+            LookupResult got = plane.lookup(key);
+            std::optional<Route> want = oracle.lookup(key, 32);
+            ASSERT_EQ(got.found, want.has_value()) << "key " << i;
+            if (want) {
+                ASSERT_EQ(got.nextHop, want->nextHop) << "key " << i;
+                ASSERT_EQ(got.matchedLength, want->prefix.length())
+                    << "key " << i;
+            }
         }
     }
 }
@@ -332,56 +335,64 @@ TEST(ShardedBasics, BroadcastVisibleFromEveryShard)
 
 TEST(ShardedPersist, WarmRestartKeepsRoutingStable)
 {
-    std::string dir = tempDir("warm");
     RoutingTable table = generateScaledTable(500, 32, /*seed=*/11);
 
     std::vector<Key128> probes;
     for (uint32_t i = 0; i < 1000; ++i)
         probes.push_back(Key128::fromIpv4(0x0A000000u + i * 40503u));
 
-    std::vector<size_t> shardBefore;
-    std::vector<LookupResult> before;
-    size_t routesBefore = 0;
-    {
-        ShardedOptions o = smallOptions(4, 8);
-        o.persistDir = dir;
-        ShardedChisel plane(table, o);
-        UpdateTraceGenerator gen(table, TraceProfile{}, 32, 31);
-        for (int i = 0; i < 200; ++i)
-            plane.apply(gen.next());
-        EXPECT_EQ(plane.saveSnapshots(), 4u);
-        for (const Key128 &key : probes) {
-            shardBefore.push_back(plane.shardOf(key));
-            before.push_back(plane.lookup(key));
+    for (size_t shards : {size_t(4), size_t(1)}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        std::string dir = tempDir("warm" + std::to_string(shards));
+
+        std::vector<size_t> shardBefore;
+        std::vector<LookupResult> before;
+        size_t routesBefore = 0;
+        {
+            ShardedOptions o = smallOptions(shards, 8);
+            o.persistDir = dir;
+            ShardedChisel plane(table, o);
+            UpdateTraceGenerator gen(table, TraceProfile{}, 32, 31);
+            for (int i = 0; i < 200; ++i)
+                plane.apply(gen.next());
+            EXPECT_EQ(plane.saveSnapshots(), shards);
+            for (const Key128 &key : probes) {
+                shardBefore.push_back(plane.shardOf(key));
+                before.push_back(plane.lookup(key));
+            }
+            routesBefore = plane.routeCount();
         }
-        routesBefore = plane.routeCount();
-    }
 
-    ShardedOptions o = smallOptions(4, 8);
-    o.persistDir = dir;
-    o.audit = true;
-    ShardedChisel plane(table, o);
+        ShardedOptions o = smallOptions(shards, 8);
+        o.persistDir = dir;
+        o.audit = true;
+        ShardedChisel plane(table, o);
 
-    ASSERT_EQ(plane.recovery().size(), 4u);
-    for (const shard::ShardRecovery &rec : plane.recovery()) {
-        // The warm path: every shard restores its own snapshot image
-        // -- zero Bloomier setups -- and its audit is clean.
-        EXPECT_EQ(rec.source, persist::RecoverySource::Snapshot);
-        EXPECT_EQ(rec.fallbacks, 0u);
-        EXPECT_TRUE(rec.auditRan);
-        EXPECT_TRUE(rec.auditPassed);
+        ASSERT_EQ(plane.recovery().size(), shards);
+        for (const shard::ShardRecovery &rec : plane.recovery()) {
+            // The warm path: every shard restores its own snapshot
+            // image -- zero Bloomier setups -- and its audit is clean.
+            EXPECT_EQ(rec.source, persist::RecoverySource::Snapshot);
+            EXPECT_EQ(rec.fallbacks, 0u);
+            EXPECT_TRUE(rec.auditRan);
+            EXPECT_TRUE(rec.auditPassed);
+        }
+        EXPECT_EQ(plane.routeCount(), routesBefore);
+        for (size_t i = 0; i < probes.size(); ++i) {
+            // No key ever changes shard across a geometry-preserving
+            // restart, and no answer changes either.
+            ASSERT_EQ(plane.shardOf(probes[i]), shardBefore[i]);
+            LookupResult got = plane.lookup(probes[i]);
+            ASSERT_EQ(got.found, before[i].found) << "probe " << i;
+            if (before[i].found) {
+                ASSERT_EQ(got.nextHop, before[i].nextHop)
+                    << "probe " << i;
+                ASSERT_EQ(got.matchedLength, before[i].matchedLength)
+                    << "probe " << i;
+            }
+        }
+        std::filesystem::remove_all(dir);
     }
-    EXPECT_EQ(plane.routeCount(), routesBefore);
-    for (size_t i = 0; i < probes.size(); ++i) {
-        // No key ever changes shard across a geometry-preserving
-        // restart, and no answer changes either.
-        ASSERT_EQ(plane.shardOf(probes[i]), shardBefore[i]);
-        LookupResult got = plane.lookup(probes[i]);
-        ASSERT_EQ(got.found, before[i].found) << "probe " << i;
-        if (before[i].found)
-            ASSERT_EQ(got.nextHop, before[i].nextHop) << "probe " << i;
-    }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedPersist, GeometryChangeRefused)

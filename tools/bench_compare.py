@@ -73,7 +73,8 @@ OPTIONAL_FAMILIES = {
         "snapshots_installed",
     ],
     # RPC service gauges (docs/service.md): the serving-side wear
-    # counters plus the kill/restart soak's audit numbers.
+    # counters.  The kill/restart soak's audit numbers live in the
+    # shard family (the service soak is shard_soak --shards=1).
     "service": [
         "requests",
         "acked",
@@ -83,12 +84,6 @@ OPTIONAL_FAMILIES = {
         "backpressure_pauses",
         "idle_disconnects",
         "stall_disconnects",
-        "retries",
-        "reconnects",
-        "kills",
-        "acked_lost",
-        "phantom_records",
-        "shed_demo_ms",
     ],
     # Sharded dataplane gauges (docs/sharding.md): the shard soak's
     # per-shard route counts, quarantine transitions and audit
@@ -109,6 +104,7 @@ OPTIONAL_FAMILIES = {
         "detect_ms",
         "recover_ms",
         "healthy_p99_us",
+        "shed_demo_ms",
         "routes_shard_*",
         "quarantine_shard_*",
     ],
