@@ -10,7 +10,8 @@
  *
  *  - the engine holds exactly the truth table's routes (zero lost,
  *    zero phantom) and agrees with a binary-trie oracle on a random
- *    key sample — shedding coalesced, it never dropped;
+ *    key sample, matched length included (persist::auditEngine) —
+ *    shedding coalesced, it never dropped;
  *  - the dirty-group retention budget was never exceeded between
  *    updates (dirtyPeak() <= budget);
  *  - the health monitor ends in Healthy with the queue and the
@@ -33,29 +34,21 @@
 #include "concurrent/concurrent_engine.hh"
 #include "fault/fault.hh"
 #include "persist/journal.hh"
+#include "persist/recovery.hh"
 #include "persist/snapshot.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "soak.hh"
 #include "tcam/tcam.hh"
 #include "telemetry/cli.hh"
 #include "telemetry/metrics.hh"
-#include "trie/binary_trie.hh"
 
 namespace {
 
 using namespace chisel;
 using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
-
-size_t g_failures = 0;
-
-void
-check(bool ok, const char *what)
-{
-    std::printf("  %-52s %s\n", what, ok ? "ok" : "FAIL");
-    if (!ok)
-        ++g_failures;
-}
+using soak::check;
 
 } // anonymous namespace
 
@@ -161,7 +154,7 @@ main(int argc, char **argv)
     for (const Update &u : storm) {
         if (!engine.post(u)) {
             std::printf("post() failed — admission should absorb\n");
-            ++g_failures;
+            ++soak::g_failures;
             break;
         }
     }
@@ -244,23 +237,11 @@ main(int argc, char **argv)
         t.join();
 
     // ---- Audit ------------------------------------------------------
-    size_t lost = 0, phantom = 0, wrong = 0;
-    for (const Route &r : truth.routes()) {
-        auto nh = engine.find(r.prefix);
-        if (!nh || *nh != r.nextHop)
-            ++lost;
-    }
-    // Oracle sample: random keys through the wait-free path.
-    BinaryTrie oracle(truth);
-    for (const Key128 &k : keys) {
-        auto a = oracle.lookup(k, 32);
-        auto b = engine.lookup(k);
-        if (a.has_value() != b.found || (a && a->nextHop != b.nextHop))
-            ++wrong;
-    }
-    phantom = engine.routeCount() > truth.size()
-                  ? engine.routeCount() - truth.size()
-                  : 0;
+    //
+    // Every truth route, plus the oracle sample through the wait-free
+    // path.
+    persist::PlaneAudit audit = persist::auditEngine(engine, truth, keys);
+    const uint64_t lost = audit.lost();
 
     const health::AdmissionCounters &ac = engine.admissionCounters();
     const health::HealthMonitor &mon = engine.monitor();
@@ -312,8 +293,8 @@ main(int argc, char **argv)
 
     std::printf("verdict:\n");
     check(lost == 0, "zero lost routes");
-    check(phantom == 0, "zero phantom routes");
-    check(wrong == 0, "oracle agreement on key sample");
+    check(audit.phantom == 0, "zero phantom routes");
+    check(audit.oracleMismatches == 0, "oracle agreement on key sample");
     check(state == health::HealthState::Healthy,
           "health machine returned to Healthy");
     check(engine.pendingUpdates() == 0 && engine.stagedUpdates() == 0,
@@ -329,8 +310,9 @@ main(int argc, char **argv)
     if (session.enabled()) {
         telemetry::MetricRegistry &registry = session.registry();
         registry.gauge("chaos.lost").set(double(lost));
-        registry.gauge("chaos.phantom").set(double(phantom));
-        registry.gauge("chaos.oracle_mismatches").set(double(wrong));
+        registry.gauge("chaos.phantom").set(double(audit.phantom));
+        registry.gauge("chaos.oracle_mismatches")
+            .set(double(audit.oracleMismatches));
         registry.gauge("chaos.fault_fires")
             .set(double(inj.totalFires()));
         registry.gauge("chaos.lookups").set(double(lookups.load()));
@@ -350,8 +332,5 @@ main(int argc, char **argv)
     // sink (metrics JSON, flight dump) before the verdict line.
     session.finish();
 
-    std::printf("chaos soak: %s (%zu failure%s)\n",
-                g_failures == 0 ? "PASS" : "FAIL", g_failures,
-                g_failures == 1 ? "" : "s");
-    return g_failures == 0 ? 0 : 1;
+    return soak::verdict("chaos soak");
 }

@@ -30,9 +30,11 @@
  *    every truth route must be served with the right next hop (zero
  *    lost), with no extras (zero phantom: expired entries must not
  *    resolve);
- *  - a binary-trie oracle agrees on a random key sample;
+ *  - a binary-trie oracle agrees on a random key sample, matched
+ *    length included (all through persist::auditEngine);
  *  - a warm restart (recoverEngine with audit) replays the same
- *    journal — Expires and ResizeMarks included — to the same state.
+ *    journal — Expires and ResizeMarks included — to the same state,
+ *    and answers the same key sample exactly.
  *
  * Emits a chisel.churn.v1 JSON artifact; nonzero exit on any
  * violation, so CI runs this binary directly as its churn leg.
@@ -41,7 +43,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -56,26 +57,16 @@
 #include "persist/recovery.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "soak.hh"
 #include "telemetry/cli.hh"
-#include "telemetry/json.hh"
 #include "telemetry/metrics.hh"
-#include "trie/binary_trie.hh"
 
 namespace {
 
 using namespace chisel;
 using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
-
-size_t g_failures = 0;
-
-void
-check(bool ok, const char *what)
-{
-    std::printf("  %-52s %s\n", what, ok ? "ok" : "FAIL");
-    if (!ok)
-        ++g_failures;
-}
+using soak::check;
 
 struct SoakOptions
 {
@@ -294,44 +285,20 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     // is in neither, and any disagreement is lost state or a phantom.
     persist::JournalScan scan =
         persist::scanJournal(o.journal, elasticFingerprint(config));
-    RoutingTable truth = table;
+    RoutingTable truth = persist::journalTruth(table, scan);
     uint64_t expireRecords = 0, resizeMarks = 0;
     for (const persist::JournalRecord &rec : scan.records) {
-        if (rec.type == persist::JournalRecord::Type::ResizeMark) {
+        if (rec.type == persist::JournalRecord::Type::ResizeMark)
             ++resizeMarks;
-            continue;
-        }
-        if (rec.type != persist::JournalRecord::Type::Update)
-            continue;
-        if (rec.update.kind == UpdateKind::Announce) {
-            truth.add(rec.update.prefix, rec.update.nextHop);
-        } else {
-            if (rec.update.kind == UpdateKind::Expire)
-                ++expireRecords;
-            truth.remove(rec.update.prefix);
-        }
+        else if (rec.type == persist::JournalRecord::Type::Update &&
+                 rec.update.kind == UpdateKind::Expire)
+            ++expireRecords;
     }
-
-    size_t lost = 0;
-    for (const Route &r : truth.routes()) {
-        auto nh = engine.find(r.prefix);
-        if (!nh || *nh != r.nextHop)
-            ++lost;
-    }
-    size_t phantom = engine.routeCount() > truth.size()
-                         ? engine.routeCount() - truth.size()
-                         : 0;
 
     std::vector<Key128> keys =
         generateLookupKeys(truth, 4096, 32, 0.7, o.seed + 4);
-    BinaryTrie oracle(truth);
-    size_t wrong = 0;
-    for (const Key128 &k : keys) {
-        auto a = oracle.lookup(k, 32);
-        auto b = engine.lookup(k);
-        if (a.has_value() != b.found || (a && a->nextHop != b.nextHop))
-            ++wrong;
-    }
+    persist::PlaneAudit audit = persist::auditEngine(engine, truth, keys);
+    const uint64_t lost = audit.lost();
 
     // ---- Audit 2: warm restart across Expires and ResizeMarks -------
     persist::RecoveryOptions ropts;
@@ -341,6 +308,11 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     ropts.journalPath = o.journal;
     ropts.audit = true;
     persist::RecoveryReport rec = persist::recoverEngine(ropts);
+    // The recovery audit checks routes only; the restarted engine
+    // must also answer the key sample exactly, matched length included.
+    const bool restartExact =
+        rec.auditRan && rec.auditPassed &&
+        persist::auditEngine(*rec.engine, truth, keys).passed();
 
     // ---- Verdict ----------------------------------------------------
     std::printf("verdict:\n");
@@ -353,13 +325,12 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     check(probeChecks.load() > 0 && probeGaps.load() == 0,
           "zero probe serving gaps across all flips");
     check(lost == 0, "zero non-expired routes lost");
-    check(phantom == 0, "zero phantom routes (expired stay dead)");
-    check(wrong == 0, "oracle agreement on key sample");
+    check(audit.phantom == 0, "zero phantom routes (expired stay dead)");
+    check(audit.oracleMismatches == 0, "oracle agreement on key sample");
     check(engine.slowPathDrained() > 0 ||
               engine.robustness().slowPathDrains == 0,
           "slow-path residents drained back on resize");
-    check(rec.auditRan && rec.auditPassed,
-          "warm restart replays to the identical state");
+    check(restartExact, "warm restart replays to the identical state");
     check(rec.journalHeaderOk, "journal valid across the resizes");
 
     if (session.enabled()) {
@@ -369,13 +340,11 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         registry.gauge("churn.probe_gaps")
             .set(double(probeGaps.load()));
         registry.gauge("churn.lost").set(double(lost));
-        registry.gauge("churn.phantom").set(double(phantom));
+        registry.gauge("churn.phantom").set(double(audit.phantom));
     }
 
     // ---- chisel.churn.v1 artifact -----------------------------------
-    std::ostringstream os;
-    {
-        telemetry::JsonWriter w(os, true);
+    soak::writeReport(o.json, "churn", [&](telemetry::JsonWriter &w) {
         w.beginObject();
         w.member("schema", "chisel.churn.v1");
         w.member("duration_ms", duration_ms);
@@ -388,30 +357,20 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("slowpath_drained", engine.slowPathDrained());
         w.member("probe_checks", probeChecks.load());
         w.member("probe_gaps", probeGaps.load());
-        w.member("lost", uint64_t(lost));
-        w.member("phantom", uint64_t(phantom));
-        w.member("oracle_mismatches", uint64_t(wrong));
+        w.member("lost", lost);
+        w.member("phantom", audit.phantom);
+        w.member("oracle_mismatches", audit.oracleMismatches);
         w.member("journal_records", uint64_t(scan.records.size()));
         w.member("journal_last_seq", scan.lastSeq);
         w.member("route_count", uint64_t(engine.routeCount()));
         w.member("final_spill_capacity",
                  uint64_t(engine.config().spillCapacity));
-        w.member("replay_audit_passed", rec.auditRan && rec.auditPassed);
+        w.member("replay_audit_passed", restartExact);
         w.endObject();
-    }
-    if (std::FILE *f = std::fopen(o.json.c_str(), "w")) {
-        std::fputs(os.str().c_str(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("churn report written to %s\n", o.json.c_str());
-    }
+    });
 
     std::remove(o.journal.c_str());
-
-    std::printf("churn soak: %s (%zu failure%s)\n",
-                g_failures == 0 ? "PASS" : "FAIL", g_failures,
-                g_failures == 1 ? "" : "s");
-    return g_failures == 0 ? 0 : 1;
+    return soak::verdict("churn soak");
 }
 
 } // anonymous namespace

@@ -14,7 +14,8 @@
  *
  *  - every route in the journal-synced truth is served with the right
  *    next hop (zero lost) and no extras exist (zero phantom);
- *  - a binary-trie oracle agrees on a random key sample;
+ *  - a binary-trie oracle agrees on a random key sample, matched
+ *    length included (both through persist::auditEngine);
  *  - a revived stale leader (old fencing epoch) is fenced off.
  *
  * A chisel.failover.v1 JSON artifact reports detection and failover
@@ -28,9 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,30 +42,22 @@
 #include "concurrent/concurrent_engine.hh"
 #include "fault/fault.hh"
 #include "persist/journal.hh"
+#include "persist/recovery.hh"
 #include "replica/follower.hh"
 #include "replica/replication_log.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "soak.hh"
 #include "telemetry/cli.hh"
-#include "telemetry/json.hh"
 #include "telemetry/metrics.hh"
-#include "trie/binary_trie.hh"
 
 namespace {
 
 using namespace chisel;
 using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
-
-size_t g_failures = 0;
-
-void
-check(bool ok, const char *what)
-{
-    std::printf("  %-52s %s\n", what, ok ? "ok" : "FAIL");
-    if (!ok)
-        ++g_failures;
-}
+using soak::check;
+using soak::waitFor;
 
 /** All knobs; the leader child re-parses the same table. */
 struct SoakOptions
@@ -227,50 +218,6 @@ leaderMain(const SoakOptions &o)
 
 // ---- Driver ----------------------------------------------------------
 
-pid_t
-spawnLeader(const SoakOptions &o, uint16_t port)
-{
-    char exe[4096];
-    ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (n <= 0)
-        return -1;
-    exe[n] = '\0';
-
-    std::vector<std::string> args = {
-        exe,
-        "--role=leader",
-        "--port=" + std::to_string(port),
-        "--journal=" + o.journal,
-        "--routes=" + std::to_string(o.routes),
-        "--updates=" + std::to_string(o.updates),
-        "--seed=" + std::to_string(o.seed),
-    };
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
-
-    pid_t pid = ::fork();
-    if (pid == 0) {
-        ::execv(exe, argv.data());
-        _exit(127);
-    }
-    return pid;
-}
-
-/** Poll @p cond up to @p limit_ms; @return ms waited, or -1. */
-int64_t
-waitFor(const std::function<bool()> &cond, int64_t limit_ms)
-{
-    uint64_t t0 = monotonicNowNs();
-    while (!cond()) {
-        if (int64_t((monotonicNowNs() - t0) / 1000000) > limit_ms)
-            return -1;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return int64_t((monotonicNowNs() - t0) / 1000000);
-}
-
 int
 driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 {
@@ -301,7 +248,14 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     fo.spoolPath = spool;
     replica::Follower follower(standby, fingerprint, fo);
 
-    pid_t leader = spawnLeader(o, listener.port());
+    pid_t leader = soak::spawnSelf({
+        "--role=leader",
+        "--port=" + std::to_string(listener.port()),
+        "--journal=" + o.journal,
+        "--routes=" + std::to_string(o.routes),
+        "--updates=" + std::to_string(o.updates),
+        "--seed=" + std::to_string(o.seed),
+    });
     if (leader <= 0) {
         std::printf("cannot spawn the leader child\n");
         return 1;
@@ -369,32 +323,9 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     // ---- Audit: journal-synced truth vs the promoted standby --------
     persist::JournalScan scan =
         persist::scanJournal(o.journal, fingerprint);
-    RoutingTable truth = table;
-    for (const persist::JournalRecord &rec : scan.records) {
-        if (rec.type != persist::JournalRecord::Type::Update)
-            continue;
-        if (rec.update.kind == UpdateKind::Announce)
-            truth.add(rec.update.prefix, rec.update.nextHop);
-        else
-            truth.remove(rec.update.prefix);
-    }
-
-    size_t lost = 0, wrong = 0;
-    for (const Route &r : truth.routes()) {
-        auto nh = standby.find(r.prefix);
-        if (!nh || *nh != r.nextHop)
-            ++lost;
-    }
-    BinaryTrie oracle(truth);
-    for (const Key128 &k : keys) {
-        auto a = oracle.lookup(k, 32);
-        auto b = standby.lookup(k);
-        if (a.has_value() != b.found || (a && a->nextHop != b.nextHop))
-            ++wrong;
-    }
-    size_t phantom = standby.routeCount() > truth.size()
-                         ? standby.routeCount() - truth.size()
-                         : 0;
+    RoutingTable truth = persist::journalTruth(table, scan);
+    persist::PlaneAudit audit = persist::auditEngine(standby, truth, keys);
+    const uint64_t lost = audit.lost();
 
     // ---- The revived stale leader -----------------------------------
     //
@@ -422,8 +353,8 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     check(fs.snapshotsInstalled > 0,
           "follower bootstrapped from a shipped snapshot");
     check(lost == 0, "zero journal-synced routes lost");
-    check(phantom == 0, "zero phantom routes");
-    check(wrong == 0, "oracle agreement on key sample");
+    check(audit.phantom == 0, "zero phantom routes");
+    check(audit.oracleMismatches == 0, "oracle agreement on key sample");
     check(promo.epoch > 1, "promotion advanced the fencing epoch");
     check(follower.lastAppliedSeq() == scan.lastSeq,
           "promotion replayed the journal to its durable head");
@@ -436,16 +367,14 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         registry.gauge("failover.replayed_records")
             .set(double(promo.replayedRecords));
         registry.gauge("failover.lost").set(double(lost));
-        registry.gauge("failover.phantom").set(double(phantom));
+        registry.gauge("failover.phantom").set(double(audit.phantom));
         registry.gauge("failover.oracle_mismatches")
-            .set(double(wrong));
+            .set(double(audit.oracleMismatches));
         follower.publish(registry, "replica");
     }
 
     // ---- chisel.failover.v1 artifact --------------------------------
-    std::ostringstream os;
-    {
-        telemetry::JsonWriter w(os, true);
+    soak::writeReport(o.json, "failover", [&](telemetry::JsonWriter &w) {
         w.beginObject();
         w.member("schema", "chisel.failover.v1");
         w.member("detect_ms", uint64_t(detect_ms));
@@ -457,28 +386,18 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("records_applied", fs.recordsApplied);
         w.member("snapshots_installed", fs.snapshotsInstalled);
         w.member("duplicates_skipped", fs.duplicatesSkipped);
-        w.member("lost", uint64_t(lost));
-        w.member("phantom", uint64_t(phantom));
-        w.member("oracle_mismatches", uint64_t(wrong));
+        w.member("lost", lost);
+        w.member("phantom", audit.phantom);
+        w.member("oracle_mismatches", audit.oracleMismatches);
         w.member("fenced_stale_leader", fenced);
         w.member("fence_rejects", fs.fenceRejects);
         w.endObject();
-    }
-    if (std::FILE *f = std::fopen(o.json.c_str(), "w")) {
-        std::fputs(os.str().c_str(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("failover report written to %s\n", o.json.c_str());
-    }
+    });
 
     std::remove(o.journal.c_str());
     std::remove(spool.c_str());
     std::remove(stale_journal.c_str());
-
-    std::printf("failover soak: %s (%zu failure%s)\n",
-                g_failures == 0 ? "PASS" : "FAIL", g_failures,
-                g_failures == 1 ? "" : "s");
-    return g_failures == 0 ? 0 : 1;
+    return soak::verdict("failover soak");
 }
 
 } // anonymous namespace

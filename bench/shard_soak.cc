@@ -34,7 +34,9 @@
  *    the owning shard's journal valid prefix;
  *  - zero phantoms: every journal record matches an update a client
  *    actually sent, and the recovered shard serves exactly its own
- *    journal-replay truth (plus a binary-trie oracle over the union);
+ *    journal-replay truth (persist::auditEngine, each route's own
+ *    address included, plus a binary-trie oracle over the union —
+ *    matched length compared throughout);
  *  - warm restarts: after the first incarnation every shard recovers
  *    from its own snapshot lane with zero ladder fallbacks — no cold
  *    Bloomier setups.
@@ -50,8 +52,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <functional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -79,10 +79,9 @@
 #include "route/updates.hh"
 #include "shard/partition.hh"
 #include "shard/sharded.hh"
+#include "soak.hh"
 #include "telemetry/cli.hh"
-#include "telemetry/json.hh"
 #include "telemetry/metrics.hh"
-#include "trie/binary_trie.hh"
 
 namespace {
 
@@ -91,16 +90,8 @@ using concurrent::ConcurrentOptions;
 using shard::ShardedChisel;
 using shard::ShardedOptions;
 using shard::ShardSelector;
-
-size_t g_failures = 0;
-
-void
-check(bool ok, const char *what)
-{
-    std::printf("  %-56s %s\n", what, ok ? "ok" : "FAIL");
-    if (!ok)
-        ++g_failures;
-}
+using soak::check;
+using soak::waitFor;
 
 /** All knobs; the node child re-derives the same geometry. */
 struct SoakOptions
@@ -251,51 +242,6 @@ nodeMain(const SoakOptions &o)
 }
 
 // ---- Driver ----------------------------------------------------------
-
-pid_t
-spawnNode(const SoakOptions &o, uint16_t port)
-{
-    char exe[4096];
-    ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (n <= 0)
-        return -1;
-    exe[n] = '\0';
-
-    std::vector<std::string> args = {
-        exe,
-        "--role=node",
-        "--port=" + std::to_string(port),
-        "--dir=" + o.dir,
-        "--ready-file=" + o.readyFile,
-        "--shards=" + std::to_string(o.shards),
-        "--partition-bits=" + std::to_string(o.partitionBits),
-        "--seed=" + std::to_string(o.seed),
-    };
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
-
-    pid_t pid = ::fork();
-    if (pid == 0) {
-        ::execv(exe, argv.data());
-        _exit(127);
-    }
-    return pid;
-}
-
-/** Poll @p cond up to @p limit_ms; @return ms waited, or -1. */
-int64_t
-waitFor(const std::function<bool()> &cond, int64_t limit_ms)
-{
-    uint64_t t0 = monotonicNowNs();
-    while (!cond()) {
-        if (int64_t((monotonicNowNs() - t0) / 1000000) > limit_ms)
-            return -1;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return int64_t((monotonicNowNs() - t0) / 1000000);
-}
 
 /** One parsed node ready file. */
 struct NodeReady
@@ -476,8 +422,14 @@ runShedDemo(const SoakOptions &o)
     announce.prefix = Prefix::fromCidr("10.9.0.0/16");
     announce.nextHop = 9;
 
+    // Every shard in the window, so the whole plane is in it.
+    auto induceAll = [&plane](health::HealthState state) {
+        for (size_t s = 0; s < plane.shards(); ++s)
+            plane.induceHealth(s, state, 5000);
+    };
+
     // Degraded: everything fails fast with a structured status.
-    service.induceHealth(health::HealthState::Degraded, 5000);
+    induceAll(health::HealthState::Degraded);
     uint64_t t0 = monotonicNowNs();
     net::LookupCallResult shed = client.lookup(key);
     demo.elapsedMs = int64_t((monotonicNowNs() - t0) / 1000000);
@@ -486,7 +438,7 @@ runShedDemo(const SoakOptions &o)
     demo.withinDeadline = demo.elapsedMs <= cl.requestTimeoutMs;
 
     // Stressed: updates shed, lookups still serve.
-    service.induceHealth(health::HealthState::Stressed, 5000);
+    induceAll(health::HealthState::Stressed);
     demo.stressedUpdateShed = client.update({announce}).status ==
                               net::CallStatus::Overloaded;
     net::LookupCallResult ok = client.lookup(key);
@@ -788,7 +740,15 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 
     for (size_t cycle = 0; cycle < o.cycles; ++cycle) {
         std::remove(o.readyFile.c_str());
-        pid_t node = spawnNode(o, port);
+        pid_t node = soak::spawnSelf({
+            "--role=node",
+            "--port=" + std::to_string(port),
+            "--dir=" + o.dir,
+            "--ready-file=" + o.readyFile,
+            "--shards=" + std::to_string(o.shards),
+            "--partition-bits=" + std::to_string(o.partitionBits),
+            "--seed=" + std::to_string(o.seed),
+        });
         if (node <= 0) {
             std::printf("cannot spawn the node child\n");
             return 1;
@@ -907,12 +867,8 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
             ++shardRecords[s];
             if (sent.find(updateIdent(rec.update)) == sent.end())
                 ++phantomRecords;
-            if (rec.update.kind == UpdateKind::Announce)
-                shardTruth[s].add(rec.update.prefix,
-                                  rec.update.nextHop);
-            else
-                shardTruth[s].remove(rec.update.prefix);
         }
+        shardTruth[s] = persist::journalTruth(RoutingTable{}, scans[s]);
     }
     check(headersOk, "every shard journal survived the kill storm");
 
@@ -943,7 +899,11 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     apopts.audit = true;
     ShardedChisel recovered(RoutingTable{}, apopts);
 
-    size_t lostRoutes = 0, phantomRoutes = 0, auditFailed = 0;
+    // Each shard through the plane audit, probing every truth route's
+    // own address too; then an oracle sample over the union truth
+    // through the sharded front-end path.
+    size_t auditFailed = 0;
+    persist::PlaneAudit routeAudit;
     std::vector<size_t> shardRoutes(o.shards, 0);
     RoutingTable unionTruth;
     for (size_t s = 0; s < o.shards; ++s) {
@@ -951,40 +911,35 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         if (!r.auditRan || !r.auditPassed)
             ++auditFailed;
         shardRoutes[s] = recovered.shardEngine(s).routeCount();
+        std::vector<Key128> own;
         for (const Route &route : shardTruth[s].routes()) {
+            own.push_back(route.prefix.bits());
             unionTruth.add(route.prefix, route.nextHop);
-            LookupResult got =
-                recovered.shardEngine(s).lookup(route.prefix.bits());
-            if (!got.found || got.nextHop != route.nextHop ||
-                got.matchedLength != route.prefix.length())
-                ++lostRoutes;
         }
-        if (shardRoutes[s] > shardTruth[s].size())
-            phantomRoutes += shardRoutes[s] - shardTruth[s].size();
+        routeAudit += persist::auditEngine(recovered.shardEngine(s),
+                                           shardTruth[s], own);
     }
+    // A route counts as lost when it is missing, has the wrong next
+    // hop, or its own address resolves to anything else.
+    const uint64_t lostRoutes =
+        routeAudit.lost() + routeAudit.oracleMismatches;
+    const uint64_t phantomRoutes = routeAudit.phantom;
     check(auditFailed == 0,
           "per-shard recovery audit passed on every shard");
     check(lostRoutes == 0,
           "every journal-truth route serves from its own shard");
     check(phantomRoutes == 0, "zero phantom routes in any shard");
 
-    // Oracle sample over the union truth through the sharded
-    // front-end path.
-    BinaryTrie oracle(unionTruth);
     Rng rng(o.seed + 42);
-    size_t oracleWrong = 0;
+    std::vector<Key128> sample;
     for (size_t i = 0; i < 4096; ++i) {
         uint32_t top = 16 + uint32_t(rng.nextBelow(200));
-        Key128 key = Key128::fromIpv4(
-            (top << 24) | uint32_t(rng.nextBelow(1u << 24)));
-        auto want = oracle.lookup(key, 32);
-        LookupResult got = recovered.lookup(key);
-        bool same = want.has_value()
-                        ? got.found && got.nextHop == want->nextHop
-                        : !got.found;
-        if (!same)
-            ++oracleWrong;
+        sample.push_back(Key128::fromIpv4(
+            (top << 24) | uint32_t(rng.nextBelow(1u << 24))));
     }
+    persist::PlaneAudit unionAudit;
+    persist::auditSample(recovered, unionTruth, sample, unionAudit);
+    const uint64_t oracleWrong = unionAudit.oracleMismatches;
     check(oracleWrong == 0, "binary-trie oracle agrees on key sample");
 
     net::ClientStats cs;
@@ -1026,9 +981,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     }
 
     // ---- chisel.shard.v1 artifact -----------------------------------
-    std::ostringstream os;
-    {
-        telemetry::JsonWriter w(os, true);
+    soak::writeReport(o.json, "shard", [&](telemetry::JsonWriter &w) {
         w.beginObject();
         w.member("schema", "chisel.shard.v1");
         w.member("shards", uint64_t(o.shards));
@@ -1042,9 +995,9 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("lost", uint64_t(ackedLost));
         w.member("acked_mismatched", uint64_t(ackedMismatched));
         w.member("phantom", uint64_t(phantomRecords));
-        w.member("lost_routes", uint64_t(lostRoutes));
-        w.member("phantom_routes", uint64_t(phantomRoutes));
-        w.member("oracle_mismatches", uint64_t(oracleWrong));
+        w.member("lost_routes", lostRoutes);
+        w.member("phantom_routes", phantomRoutes);
+        w.member("oracle_mismatches", oracleWrong);
         w.member("warm_sources_ok", warmSourcesOk);
         w.member("drain_exit_ok", drainExitOk);
         w.member("shed_demo_overloaded", shed.degradedOverloaded);
@@ -1080,21 +1033,11 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         }
         w.endArray();
         w.endObject();
-    }
-    if (std::FILE *f = std::fopen(o.json.c_str(), "w")) {
-        std::fputs(os.str().c_str(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("shard report written to %s\n", o.json.c_str());
-    }
+    });
 
     std::filesystem::remove_all(o.dir);
     std::remove(o.readyFile.c_str());
-
-    std::printf("shard soak: %s (%zu failure%s)\n",
-                g_failures == 0 ? "PASS" : "FAIL", g_failures,
-                g_failures == 1 ? "" : "s");
-    return g_failures == 0 ? 0 : 1;
+    return soak::verdict("shard soak");
 }
 
 } // anonymous namespace

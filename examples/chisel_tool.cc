@@ -449,8 +449,9 @@ serveCmd(int argc, char **argv)
     if (!service.start())
         return 1;
     if (induceDegradedMs > 0)
-        service.induceHealth(health::HealthState::Degraded,
-                             static_cast<int>(induceDegradedMs));
+        for (size_t s = 0; s < plane.shards(); ++s)
+            plane.induceHealth(s, health::HealthState::Degraded,
+                               induceDegradedMs);
     if (!portFile.empty()) {
         std::ofstream pf(portFile);
         pf << service.port() << "\n";

@@ -60,7 +60,6 @@
 #include "sim/report.hh"
 #include "sim/stats.hh"
 #include "telemetry/cli.hh"
-#include "trie/binary_trie.hh"
 
 namespace {
 
@@ -437,39 +436,21 @@ main(int argc, char **argv)
     std::printf("Incremental fraction: %.3f%% (paper: >= 99.9%%)\n",
                 100.0 * s.incrementalFraction());
 
-    // Audit the final state against the oracle.
-    BinaryTrie oracle(truth);
+    // Audit the final state: every truth route must be in the engine
+    // and vice versa (a lost or phantom update fails the run), and a
+    // key sample must resolve exactly like the trie oracle.
     auto keys = generateLookupKeys(truth, 20000, 32, 0.8, 44);
-    size_t wrong = 0;
-    for (const auto &k : keys) {
-        auto a = oracle.lookup(k, 32);
-        auto b = engine->lookup(k);
-        if (a.has_value() != b.found ||
-            (a && a->nextHop != b.nextHop))
-            ++wrong;
-    }
-
-    // Full-state audit: every truth route must be in the engine and
-    // vice versa — a lost or phantom update fails the run.
-    size_t lost = 0, phantom = 0;
-    for (const auto &r : truth.routes()) {
-        auto nh = engine->find(r.prefix);
-        if (!nh || *nh != r.nextHop)
-            ++lost;
-    }
-    RoutingTable exported = engine->exportTable();
-    for (const auto &r : exported.routes()) {
-        auto nh = truth.find(r.prefix);
-        if (!nh || *nh != r.nextHop)
-            ++phantom;
-    }
+    persist::PlaneAudit audit = persist::auditEngine(*engine, truth, keys);
 
     RobustnessCounters rc = engine->robustness();
-    std::printf("Post-replay oracle audit: %zu keys, %zu mismatches; "
-                "route count %zu vs truth %zu (%zu lost, %zu "
+    std::printf("Post-replay oracle audit: %zu keys, %llu mismatches; "
+                "route count %zu vs truth %zu (%llu lost, %llu "
                 "phantom)\n",
-                keys.size(), wrong, engine->routeCount(),
-                truth.size(), lost, phantom);
+                keys.size(),
+                static_cast<unsigned long long>(audit.oracleMismatches),
+                engine->routeCount(), truth.size(),
+                static_cast<unsigned long long>(audit.lost()),
+                static_cast<unsigned long long>(audit.phantom));
     std::printf("Robustness: %llu rejected, %llu TCAM overflows, "
                 "%llu slow-path diversions (%zu resident), %llu "
                 "drains, %llu setup retries, %llu parity "
@@ -514,6 +495,6 @@ main(int argc, char **argv)
                     "appends; unacknowledged trace tail was not "
                     "applied\n");
 
-    int code = (wrong == 0 && lost == 0 && phantom == 0) ? 0 : 1;
+    int code = audit.passed() ? 0 : 1;
     return finishRun(session, engine.get(), code);
 }

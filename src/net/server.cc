@@ -126,29 +126,6 @@ ChiselService::requestDrain()
     [[maybe_unused]] ssize_t n = ::write(wakeFd_[1], "d", 1);
 }
 
-void
-ChiselService::induceHealth(health::HealthState state, int duration_ms)
-{
-    inducedUntilNs_.store(monotonicNowNs() + msToNs(duration_ms),
-                          std::memory_order_relaxed);
-    inducedState_.store(static_cast<uint8_t>(state),
-                        std::memory_order_release);
-}
-
-health::HealthState
-ChiselService::effectiveHealth() const
-{
-    uint8_t induced = inducedState_.load(std::memory_order_acquire);
-    if (induced != static_cast<uint8_t>(health::HealthState::kCount) &&
-        monotonicNowNs() <
-            inducedUntilNs_.load(std::memory_order_relaxed))
-        return static_cast<health::HealthState>(induced);
-    // The whole-plane view is majority-ruled — one sick shard must
-    // not shed its siblings' traffic (per-shard shedding happens at
-    // the serve sites).
-    return plane_.aggregateHealth();
-}
-
 ServiceStats
 ChiselService::stats() const
 {
@@ -483,7 +460,7 @@ ChiselService::dispatch(Conn &conn, RpcMessage &msg)
         enqueueReply(
             conn,
             makePong(msg.id,
-                     static_cast<uint8_t>(effectiveHealth()),
+                     static_cast<uint8_t>(plane_.aggregateHealth()),
                      drainRequested_.load(std::memory_order_acquire),
                      plane_.generation(),
                      plane_.routeCount()));
@@ -499,7 +476,9 @@ ChiselService::dispatch(Conn &conn, RpcMessage &msg)
 RpcMessage
 ChiselService::serveLookup(const RpcMessage &req)
 {
-    health::HealthState h = effectiveHealth();
+    // The whole-plane view is majority-ruled: one sick shard must not
+    // shed its siblings' traffic (the per-shard checks below do that).
+    health::HealthState h = plane_.aggregateHealth();
     if (h == health::HealthState::Degraded ||
         h == health::HealthState::Quarantined) {
         // Fail fast instead of queuing behind a sick engine: the
@@ -553,7 +532,7 @@ ChiselService::serveUpdate(const RpcMessage &req)
         return makeStatus(req.id, StatusCode::Draining,
                           options_.retryAfterMs);
     }
-    health::HealthState h = effectiveHealth();
+    health::HealthState h = plane_.aggregateHealth();
     if (!acceptsWrites(h)) {
         // Shed updates before lookups (whole-plane view).
         overloaded_.fetch_add(1, std::memory_order_relaxed);

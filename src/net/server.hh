@@ -207,17 +207,6 @@ class ChiselService
 
     ServiceStats stats() const;
 
-    /**
-     * Health-state override for tests and chaos drills: for the next
-     * @p duration_ms the shedding rules see @p state instead of the
-     * plane's own health.  The induced windows of the shard soak's
-     * shed demo use this.
-     */
-    void induceHealth(health::HealthState state, int duration_ms);
-
-    /** The shedding rules' whole-plane view (induced or aggregate). */
-    health::HealthState effectiveHealth() const;
-
   private:
     struct Conn
     {
@@ -270,11 +259,6 @@ class ChiselService
     std::atomic<bool> stopRequested_{false};
     std::atomic<bool> drainRequested_{false};
     std::thread thread_;
-
-    /** Health override (induceHealth): state and expiry. */
-    std::atomic<uint8_t> inducedState_{
-        static_cast<uint8_t>(health::HealthState::kCount)};
-    std::atomic<uint64_t> inducedUntilNs_{0};
 
     // Stats (relaxed atomics: serving thread writes, any thread reads).
     std::atomic<uint64_t> accepted_{0}, refused_{0}, disconnects_{0};

@@ -100,42 +100,19 @@ replayTail(std::unique_ptr<ChiselEngine> &engine,
 
 } // anonymous namespace
 
-void
-auditEngine(const ChiselEngine &engine, const RoutingTable &initial,
-            const JournalScan &scan, RecoveryReport &report)
+RoutingTable
+journalTruth(const RoutingTable &initial, const JournalScan &scan)
 {
-    // The reference: initial table advanced through every journaled
-    // update — derived without touching any Chisel data structure, so
-    // it cannot share a bug with the thing it checks.
-    RoutingTable reference = initial;
+    RoutingTable truth = initial;
     for (const JournalRecord &rec : scan.records) {
         if (rec.type != JournalRecord::Type::Update)
             continue;
         if (rec.update.kind == UpdateKind::Announce)
-            reference.add(rec.update.prefix, rec.update.nextHop);
+            truth.add(rec.update.prefix, rec.update.nextHop);
         else
-            reference.remove(rec.update.prefix);
+            truth.remove(rec.update.prefix);
     }
-
-    report.auditRan = true;
-    report.auditMissing = 0;
-    report.auditMismatched = 0;
-    report.auditPhantom = 0;
-
-    for (const Route &r : reference.routes()) {
-        std::optional<NextHop> got = engine.find(r.prefix);
-        if (!got)
-            ++report.auditMissing;
-        else if (*got != r.nextHop)
-            ++report.auditMismatched;
-    }
-    for (const Route &r : engine.exportTable().routes()) {
-        if (!reference.contains(r.prefix))
-            ++report.auditPhantom;
-    }
-    report.auditPassed = report.auditMissing == 0 &&
-                         report.auditMismatched == 0 &&
-                         report.auditPhantom == 0;
+    return truth;
 }
 
 RecoveryReport
@@ -217,8 +194,15 @@ recoverEngine(const RecoveryOptions &options)
         replayTail(report.engine, scan, report.lastSeq,
                    report.lastSeq);
 
-    if (options.audit)
-        auditEngine(*report.engine, options.initialTable, scan, report);
+    if (options.audit) {
+        PlaneAudit audit = auditEngine(
+            *report.engine, journalTruth(options.initialTable, scan));
+        report.auditRan = true;
+        report.auditPassed = audit.passed();
+        report.auditMissing = audit.missing;
+        report.auditMismatched = audit.mismatched;
+        report.auditPhantom = audit.phantom;
+    }
 
     return report;
 }

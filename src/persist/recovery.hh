@@ -17,8 +17,15 @@
  *
  * After the engine is rebuilt, an optional route-by-route audit
  * compares it against a reference table derived independently from
- * the initial table plus the journal — the recovered engine must
- * contain exactly the routes the durable history says it should.
+ * the initial table plus the journal (journalTruth) — the recovered
+ * engine must contain exactly the routes the durable history says it
+ * should.  The recovery audit sends no oracle keys: lookups advance
+ * the engine's persisted access counters, and a warm restart must
+ * stay bit-identical to the pre-crash engine.
+ *
+ * auditEngine() is the one plane audit: recovery, the soak harnesses
+ * and the replay example all check their planes through it, and its
+ * oracle sample compares found, nextHop and matchedLength.
  */
 
 #ifndef CHISEL_PERSIST_RECOVERY_HH
@@ -26,11 +33,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/engine.hh"
 #include "persist/journal.hh"
 #include "persist/snapshot.hh"
+#include "trie/binary_trie.hh"
 
 namespace chisel::persist {
 
@@ -54,7 +64,7 @@ struct RecoveryOptions
      */
     RoutingTable initialTable;
 
-    /** Run the route-by-route audit after rebuilding. */
+    /** Audit the rebuilt engine's routes against journalTruth(). */
     bool audit = true;
 
     /**
@@ -126,14 +136,102 @@ struct RecoveryReport
 RecoveryReport recoverEngine(const RecoveryOptions &options);
 
 /**
- * The audit alone: compare @p engine route-by-route against the
- * reference derived from @p initial plus the update records of
- * @p scan (applied in sequence order).  Fills the audit fields of
- * @p report.
+ * The durable history as a route table: @p initial advanced through
+ * the Update records of @p scan in stream order (Announce adds;
+ * Withdraw and Expire remove).  Built without touching any Chisel
+ * data structure, so it cannot share a bug with what it checks.
  */
-void auditEngine(const ChiselEngine &engine,
-                 const RoutingTable &initial, const JournalScan &scan,
-                 RecoveryReport &report);
+RoutingTable journalTruth(const RoutingTable &initial,
+                          const JournalScan &scan);
+
+/** What one auditEngine()/auditSample() run found. */
+struct PlaneAudit
+{
+    uint64_t missing = 0;     ///< Truth routes the plane lacks.
+    uint64_t mismatched = 0;  ///< Present with the wrong next hop.
+    uint64_t phantom = 0;     ///< Plane routes not in the truth.
+    /** Sampled keys whose found, nextHop or matchedLength differ
+     *  from the trie oracle's longest match. */
+    uint64_t oracleMismatches = 0;
+
+    /** Truth routes not served exactly (missing or wrong hop). */
+    uint64_t lost() const { return missing + mismatched; }
+
+    bool passed() const
+    {
+        return lost() == 0 && phantom == 0 && oracleMismatches == 0;
+    }
+
+    PlaneAudit &operator+=(const PlaneAudit &o)
+    {
+        missing += o.missing;
+        mismatched += o.mismatched;
+        phantom += o.phantom;
+        oracleMismatches += o.oracleMismatches;
+        return *this;
+    }
+};
+
+/**
+ * The oracle half of the audit, for any plane with
+ * `LookupResult lookup(const Key128 &)` (ShardedChisel included):
+ * every key of @p keys must get exactly the longest match of @p truth —
+ * the same found flag, next hop and matched length.  Adds to
+ * @p audit.oracleMismatches.
+ */
+template <class Plane>
+void
+auditSample(const Plane &plane, const RoutingTable &truth,
+            const std::vector<Key128> &keys, PlaneAudit &audit)
+{
+    if (keys.empty())
+        return;   // Don't build a trie of the whole table for nothing.
+    BinaryTrie oracle(truth);
+    for (const Key128 &key : keys) {
+        std::optional<Route> want = oracle.lookup(key);
+        LookupResult got = plane.lookup(key);
+        bool same = want ? got.found && got.nextHop == want->nextHop &&
+                               got.matchedLength ==
+                                   want->prefix.length()
+                         : !got.found;
+        if (!same)
+            ++audit.oracleMismatches;
+    }
+}
+
+/**
+ * The one plane audit: compare @p plane against @p truth.  Works on
+ * anything with exact-prefix `find`, `lookup` and `routeCount` —
+ * ChiselEngine, ConcurrentChisel, one ShardedChisel shard.
+ *
+ *  - every truth route must be present (else missing) with its next
+ *    hop (else mismatched);
+ *  - phantom = routeCount() minus the truth routes present, so an
+ *    extra route is counted even when another one is missing;
+ *  - @p sample goes through auditSample() against a trie of @p truth.
+ */
+template <class Plane>
+PlaneAudit
+auditEngine(const Plane &plane, const RoutingTable &truth,
+            const std::vector<Key128> &sample = {})
+{
+    PlaneAudit audit;
+    uint64_t present = 0;
+    for (const Route &r : truth.routes()) {
+        std::optional<NextHop> got = plane.find(r.prefix);
+        if (!got) {
+            ++audit.missing;
+            continue;
+        }
+        ++present;
+        if (*got != r.nextHop)
+            ++audit.mismatched;
+    }
+    uint64_t served = plane.routeCount();
+    audit.phantom = served > present ? served - present : 0;
+    auditSample(plane, truth, sample, audit);
+    return audit;
+}
 
 } // namespace chisel::persist
 

@@ -290,8 +290,29 @@ FlightRecorder::threadsSeen() const
     return ringCount_.load(std::memory_order_acquire);
 }
 
+bool
+FlightRecorder::readSlot(const Slot &s, FlightEvent &e)
+{
+    uint64_t v1 = s.vseq.load(std::memory_order_acquire);
+    if (v1 == 0 || (v1 & 1) != 0)
+        return false;
+    e.seq = s.seq.load(std::memory_order_relaxed);
+    e.ns = s.ns.load(std::memory_order_relaxed);
+    e.a = s.a.load(std::memory_order_relaxed);
+    e.b = s.b.load(std::memory_order_relaxed);
+    uint64_t meta = s.meta.load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (s.vseq.load(std::memory_order_relaxed) != v1)
+        return false;
+    e.thread = static_cast<uint32_t>(meta >> 16);
+    e.kind = static_cast<FlightKind>((meta >> 8) & 0xff);
+    e.code = static_cast<uint8_t>(meta & 0xff);
+    return true;
+}
+
+template <class Fn>
 void
-FlightRecorder::collect(std::vector<FlightEvent> &out) const
+FlightRecorder::forEachEvent(Fn &&fn) const
 {
     uint32_t n = ringCount_.load(std::memory_order_acquire);
     for (uint32_t i = 0; i < n; ++i) {
@@ -299,24 +320,9 @@ FlightRecorder::collect(std::vector<FlightEvent> &out) const
         if (ring == nullptr)
             continue;
         for (const Slot &s : ring->slots) {
-            // Seqlock read: accept only slots whose version was even
-            // and unchanged across the payload copy.
-            uint64_t v1 = s.vseq.load(std::memory_order_acquire);
-            if (v1 == 0 || (v1 & 1) != 0)
-                continue;
             FlightEvent e;
-            e.seq = s.seq.load(std::memory_order_relaxed);
-            e.ns = s.ns.load(std::memory_order_relaxed);
-            e.a = s.a.load(std::memory_order_relaxed);
-            e.b = s.b.load(std::memory_order_relaxed);
-            uint64_t meta = s.meta.load(std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (s.vseq.load(std::memory_order_relaxed) != v1)
-                continue;
-            e.thread = static_cast<uint32_t>(meta >> 16);
-            e.kind = static_cast<FlightKind>((meta >> 8) & 0xff);
-            e.code = static_cast<uint8_t>(meta & 0xff);
-            out.push_back(e);
+            if (readSlot(s, e))
+                fn(e);
         }
     }
 }
@@ -325,7 +331,7 @@ std::vector<FlightEvent>
 FlightRecorder::snapshot(size_t max_events) const
 {
     std::vector<FlightEvent> events;
-    collect(events);
+    forEachEvent([&events](const FlightEvent &e) { events.push_back(e); });
     std::sort(events.begin(), events.end(),
               [](const FlightEvent &x, const FlightEvent &y) {
                   return x.seq < y.seq;
@@ -382,30 +388,15 @@ FlightRecorder::writeChromeTrace(std::ostream &os) const
 {
     std::vector<FlightEvent> events = snapshot();
     uint64_t first = events.empty() ? 0 : events.front().ns;
-    JsonWriter w(os, false);
-    w.beginObject();
-    w.member("displayTimeUnit", "ms");
-    w.key("traceEvents");
-    w.beginArray();
-    for (const FlightEvent &e : events) {
-        w.beginObject();
-        w.member("name", flightKindName(e.kind));
-        w.member("ph", "i");
-        w.member("s", "g");
-        w.member("ts", double(e.ns - first) / 1000.0);
-        w.member("pid", uint64_t(1));
-        w.member("tid", uint64_t(e.thread));
-        w.key("args");
-        w.beginObject();
-        w.member("seq", e.seq);
-        w.member("code", uint64_t(e.code));
-        w.member("a", e.a);
-        w.member("b", e.b);
-        w.endObject();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
+    ChromeTraceWriter trace(os, "ms");
+    for (const FlightEvent &e : events)
+        trace.instant(flightKindName(e.kind), nullptr, "g",
+                      double(e.ns - first) / 1000.0, 1, e.thread,
+                      {{"seq", e.seq},
+                       {"code", uint64_t(e.code)},
+                       {"a", e.a},
+                       {"b", e.b}});
+    trace.finish();
 }
 
 bool
@@ -429,44 +420,26 @@ FlightRecorder::dumpRaw(int fd, int signo) const
     fdU64(fd, recorded());
     fdStr(fd, ",\"events\":[");
     bool firstOut = true;
-    uint32_t n = ringCount_.load(std::memory_order_acquire);
-    for (uint32_t i = 0; i < n; ++i) {
-        const Ring *ring = rings_[i].load(std::memory_order_acquire);
-        if (ring == nullptr)
-            continue;
-        for (const Slot &s : ring->slots) {
-            uint64_t v1 = s.vseq.load(std::memory_order_acquire);
-            if (v1 == 0 || (v1 & 1) != 0)
-                continue;
-            uint64_t seq = s.seq.load(std::memory_order_relaxed);
-            uint64_t ns = s.ns.load(std::memory_order_relaxed);
-            uint64_t a = s.a.load(std::memory_order_relaxed);
-            uint64_t b = s.b.load(std::memory_order_relaxed);
-            uint64_t meta = s.meta.load(std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (s.vseq.load(std::memory_order_relaxed) != v1)
-                continue;
-            if (!firstOut)
-                fdStr(fd, ",");
-            firstOut = false;
-            fdStr(fd, "{\"seq\":");
-            fdU64(fd, seq);
-            fdStr(fd, ",\"ns\":");
-            fdU64(fd, ns);
-            fdStr(fd, ",\"thread\":");
-            fdU64(fd, meta >> 16);
-            fdStr(fd, ",\"kind\":\"");
-            fdStr(fd, flightKindName(
-                          static_cast<FlightKind>((meta >> 8) & 0xff)));
-            fdStr(fd, "\",\"code\":");
-            fdU64(fd, meta & 0xff);
-            fdStr(fd, ",\"a\":");
-            fdU64(fd, a);
-            fdStr(fd, ",\"b\":");
-            fdU64(fd, b);
-            fdStr(fd, "}");
-        }
-    }
+    forEachEvent([fd, &firstOut](const FlightEvent &e) {
+        if (!firstOut)
+            fdStr(fd, ",");
+        firstOut = false;
+        fdStr(fd, "{\"seq\":");
+        fdU64(fd, e.seq);
+        fdStr(fd, ",\"ns\":");
+        fdU64(fd, e.ns);
+        fdStr(fd, ",\"thread\":");
+        fdU64(fd, e.thread);
+        fdStr(fd, ",\"kind\":\"");
+        fdStr(fd, flightKindName(e.kind));
+        fdStr(fd, "\",\"code\":");
+        fdU64(fd, e.code);
+        fdStr(fd, ",\"a\":");
+        fdU64(fd, e.a);
+        fdStr(fd, ",\"b\":");
+        fdU64(fd, e.b);
+        fdStr(fd, "}");
+    });
     fdStr(fd, "]}\n");
 }
 
@@ -475,39 +448,23 @@ FlightRecorder::dumpRawChromeTrace(int fd) const
 {
     fdStr(fd, "{\"traceEvents\":[");
     bool firstOut = true;
-    uint32_t n = ringCount_.load(std::memory_order_acquire);
-    for (uint32_t i = 0; i < n; ++i) {
-        const Ring *ring = rings_[i].load(std::memory_order_acquire);
-        if (ring == nullptr)
-            continue;
-        for (const Slot &s : ring->slots) {
-            uint64_t v1 = s.vseq.load(std::memory_order_acquire);
-            if (v1 == 0 || (v1 & 1) != 0)
-                continue;
-            uint64_t seq = s.seq.load(std::memory_order_relaxed);
-            uint64_t ns = s.ns.load(std::memory_order_relaxed);
-            uint64_t meta = s.meta.load(std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_acquire);
-            if (s.vseq.load(std::memory_order_relaxed) != v1)
-                continue;
-            if (!firstOut)
-                fdStr(fd, ",");
-            firstOut = false;
-            fdStr(fd, "{\"name\":\"");
-            fdStr(fd, flightKindName(
-                          static_cast<FlightKind>((meta >> 8) & 0xff)));
-            // Integer microseconds: no float formatting in a handler.
-            fdStr(fd, "\",\"ph\":\"i\",\"s\":\"g\",\"ts\":");
-            fdU64(fd, ns / 1000);
-            fdStr(fd, ",\"pid\":1,\"tid\":");
-            fdU64(fd, meta >> 16);
-            fdStr(fd, ",\"args\":{\"seq\":");
-            fdU64(fd, seq);
-            fdStr(fd, ",\"code\":");
-            fdU64(fd, meta & 0xff);
-            fdStr(fd, "}}");
-        }
-    }
+    forEachEvent([fd, &firstOut](const FlightEvent &e) {
+        if (!firstOut)
+            fdStr(fd, ",");
+        firstOut = false;
+        fdStr(fd, "{\"name\":\"");
+        fdStr(fd, flightKindName(e.kind));
+        // Integer microseconds: no float formatting in a handler.
+        fdStr(fd, "\",\"ph\":\"i\",\"s\":\"g\",\"ts\":");
+        fdU64(fd, e.ns / 1000);
+        fdStr(fd, ",\"pid\":1,\"tid\":");
+        fdU64(fd, e.thread);
+        fdStr(fd, ",\"args\":{\"seq\":");
+        fdU64(fd, e.seq);
+        fdStr(fd, ",\"code\":");
+        fdU64(fd, e.code);
+        fdStr(fd, "}}");
+    });
     fdStr(fd, "]}\n");
 }
 

@@ -222,8 +222,18 @@ class FlightRecorder
     /** The calling thread's ring (registered on first use). */
     Ring *threadRing();
 
-    /** Collect consistent slots; unsorted.  Shared by all readers. */
-    void collect(std::vector<FlightEvent> &out) const;
+    /**
+     * The one seqlock slot read: copy @p s into @p e when its version
+     * was nonzero, even and unchanged across the payload copy.  No
+     * allocation and no locks — the crash dumps run it in a signal
+     * handler.  @return false for an empty or torn slot.
+     */
+    static bool readSlot(const Slot &s, FlightEvent &e);
+
+    /** Call @p fn(const FlightEvent &) for every consistent slot of
+     *  every ring, unsorted.  Shared by all readers. */
+    template <class Fn>
+    void forEachEvent(Fn &&fn) const;
 
     size_t cap_;
     uint64_t id_;   ///< Process-unique; keys the per-thread ring cache.

@@ -190,4 +190,62 @@ JsonWriter::value(bool v)
     os_ << (v ? "true" : "false");
 }
 
+// ---- ChromeTraceWriter -----------------------------------------------------
+
+ChromeTraceWriter::ChromeTraceWriter(std::ostream &os,
+                                     const char *display_time_unit)
+    : w_(os, false)
+{
+    w_.beginObject();
+    w_.member("displayTimeUnit", display_time_unit);
+    w_.key("traceEvents");
+    w_.beginArray();
+}
+
+void
+ChromeTraceWriter::processName(uint64_t pid, const char *name)
+{
+    w_.beginObject();
+    w_.member("name", "process_name");
+    w_.member("ph", "M");
+    w_.member("pid", pid);
+    w_.member("tid", uint64_t(0));
+    w_.key("args");
+    w_.beginObject();
+    w_.member("name", name);
+    w_.endObject();
+    w_.endObject();
+}
+
+void
+ChromeTraceWriter::instant(const std::string &name, const char *cat,
+                           const char *scope, double ts_us, uint64_t pid,
+                           uint64_t tid, std::initializer_list<Arg> args)
+{
+    w_.beginObject();
+    w_.member("name", name);
+    if (cat != nullptr)
+        w_.member("cat", cat);
+    w_.member("ph", "i");
+    w_.member("s", scope);
+    w_.member("ts", ts_us);
+    w_.member("pid", pid);
+    w_.member("tid", tid);
+    w_.key("args");
+    w_.beginObject();
+    for (const Arg &a : args)
+        w_.member(a.first, a.second);
+    w_.endObject();
+    w_.endObject();
+}
+
+void
+ChromeTraceWriter::finish(uint64_t dropped)
+{
+    w_.endArray();
+    if (dropped > 0)
+        w_.member("droppedEvents", dropped);
+    w_.endObject();
+}
+
 } // namespace chisel::telemetry

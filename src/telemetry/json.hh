@@ -15,8 +15,10 @@
 #define CHISEL_TELEMETRY_JSON_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace chisel::telemetry {
@@ -80,6 +82,41 @@ class JsonWriter
     bool expectValue_ = false;   ///< A key was just written.
     std::vector<Frame> stack_;
     std::vector<bool> hasItems_; ///< Per frame: emitted anything yet.
+};
+
+/**
+ * The one Chrome trace_event writer: a document of instant events
+ * ("ph":"i") with unsigned integer args, streamed as they are added.
+ * TraceSink and FlightRecorder both export through it.  (The flight
+ * recorder's crash dump writes the same shape with write(2) alone: a
+ * signal handler cannot use a stream.)
+ */
+class ChromeTraceWriter
+{
+  public:
+    using Arg = std::pair<const char *, uint64_t>;
+
+    /** Open the document; @p display_time_unit is e.g. "ns" or "ms". */
+    ChromeTraceWriter(std::ostream &os, const char *display_time_unit);
+
+    /** A "process_name" metadata record naming @p pid. */
+    void processName(uint64_t pid, const char *name);
+
+    /**
+     * One instant event @p ts_us microseconds into the trace.  @p cat
+     * may be null (no category); @p scope is "t" (thread), "p"
+     * (process) or "g" (global).
+     */
+    void instant(const std::string &name, const char *cat,
+                 const char *scope, double ts_us, uint64_t pid,
+                 uint64_t tid, std::initializer_list<Arg> args);
+
+    /** Close the document; a nonzero @p dropped is reported as
+     *  "droppedEvents". */
+    void finish(uint64_t dropped = 0);
+
+  private:
+    JsonWriter w_;
 };
 
 } // namespace chisel::telemetry

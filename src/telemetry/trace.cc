@@ -53,46 +53,17 @@ TraceSink::clear()
 void
 TraceSink::writeChromeTrace(std::ostream &os) const
 {
-    JsonWriter w(os, false);
-    w.beginObject();
-    w.member("displayTimeUnit", "ns");
-    w.key("traceEvents");
-    w.beginArray();
-
-    // Name the single modeled process/thread.
-    w.beginObject();
-    w.member("name", "process_name");
-    w.member("ph", "M");
-    w.member("pid", uint64_t(0));
-    w.member("tid", uint64_t(0));
-    w.key("args");
-    w.beginObject();
-    w.member("name", "chisel");
-    w.endObject();
-    w.endObject();
-
+    ChromeTraceWriter trace(os, "ns");
+    trace.processName(0, "chisel");   // The single modeled process.
     uint64_t epoch = events_.empty() ? 0 : events_.front().ns;
-    for (const TraceEvent &e : events_) {
-        w.beginObject();
-        w.member("name", std::string(tableName(e.table)) +
-                             (e.op == Op::Read ? ".read" : ".write"));
-        w.member("cat", "memaccess");
-        w.member("ph", "i");   // Instant event.
-        w.member("s", "t");    // Thread scope.
-        w.member("ts", static_cast<double>(e.ns - epoch) / 1000.0);
-        w.member("pid", uint64_t(0));
-        w.member("tid", uint64_t(0));
-        w.key("args");
-        w.beginObject();
-        w.member("addr", e.addr);
-        w.member("bytes", static_cast<uint64_t>(e.bytes));
-        w.endObject();
-        w.endObject();
-    }
-    w.endArray();
-    if (dropped_ > 0)
-        w.member("droppedEvents", dropped_);
-    w.endObject();
+    for (const TraceEvent &e : events_)
+        trace.instant(std::string(tableName(e.table)) +
+                          (e.op == Op::Read ? ".read" : ".write"),
+                      "memaccess", "t",
+                      static_cast<double>(e.ns - epoch) / 1000.0, 0, 0,
+                      {{"addr", e.addr},
+                       {"bytes", static_cast<uint64_t>(e.bytes)}});
+    trace.finish(dropped_);
 }
 
 bool

@@ -1,7 +1,7 @@
 /**
  * @file
  * Concurrency tests (docs/concurrency.md): the synchronization
- * primitives (seqlock, epoch manager, SPSC queue, relaxed counters),
+ * primitives (epoch manager, SPSC queue, relaxed counters),
  * the per-thread fault-injector streams, the thread-safe telemetry
  * and logging layers, the scrub path, and — the centerpiece — a
  * 4-reader / 1-writer stress run in which every tagged lookup is
@@ -28,7 +28,6 @@
 #include "concurrent/concurrent_engine.hh"
 #include "concurrent/epoch.hh"
 #include "concurrent/relaxed.hh"
-#include "concurrent/seqlock.hh"
 #include "concurrent/spsc_queue.hh"
 #include "core/engine.hh"
 #include "fault/fault.hh"
@@ -44,7 +43,6 @@ using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
 using concurrent::EpochManager;
 using concurrent::RelaxedU64;
-using concurrent::SeqLockGuarded;
 using concurrent::SpscQueue;
 using concurrent::TaggedLookup;
 
@@ -58,57 +56,6 @@ readerThreads()
             return static_cast<unsigned>(n);
     }
     return 4;
-}
-
-// ---- SeqLock ---------------------------------------------------------------
-
-TEST(SeqLock, SingleThreadRoundTrip)
-{
-    struct Pair { uint64_t a = 0; uint64_t b = 0; };
-    SeqLockGuarded<Pair> cell;
-    EXPECT_EQ(cell.read().a, 0u);
-
-    cell.write({7, 14});
-    Pair p = cell.read();
-    EXPECT_EQ(p.a, 7u);
-    EXPECT_EQ(p.b, 14u);
-    EXPECT_EQ(cell.sequence() % 2, 0u);
-
-    Pair q{};
-    EXPECT_TRUE(cell.tryRead(q));
-    EXPECT_EQ(q.a, 7u);
-}
-
-TEST(SeqLock, ReadersNeverObserveTornPairs)
-{
-    // The writer maintains the invariant b == 2a; any torn read
-    // breaks it.  Odd payload sizes exercise the word padding.
-    struct Linked { uint64_t a = 0; uint64_t b = 0; uint32_t tag = 0; };
-    SeqLockGuarded<Linked> cell;
-
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> torn{0};
-
-    std::vector<std::thread> readers;
-    for (unsigned t = 0; t < 3; ++t) {
-        readers.emplace_back([&] {
-            while (!stop.load(std::memory_order_acquire)) {
-                Linked v = cell.read();
-                if (v.b != 2 * v.a || v.tag != v.a % 1000)
-                    torn.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-
-    for (uint64_t i = 1; i <= 200000; ++i)
-        cell.write({i, 2 * i, static_cast<uint32_t>(i % 1000)});
-    stop.store(true, std::memory_order_release);
-    for (auto &r : readers)
-        r.join();
-
-    EXPECT_EQ(torn.load(), 0u);
-    Linked last = cell.read();
-    EXPECT_EQ(last.a, 200000u);
 }
 
 // ---- EpochManager ----------------------------------------------------------

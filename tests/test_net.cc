@@ -133,6 +133,13 @@ struct Harness
         return c;
     }
 
+    /** Induce @p state on every shard for @p ms: the whole plane. */
+    void induceAll(health::HealthState state, uint64_t ms)
+    {
+        for (size_t s = 0; s < plane->shards(); ++s)
+            plane->induceHealth(s, state, ms);
+    }
+
     RoutingTable table;
     ShardedOptions popts;
     std::unique_ptr<ShardedChisel> plane;
@@ -457,7 +464,7 @@ TEST_P(NetService, DegradedShedsEverythingWithinDeadline)
 {
     Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
-    h.service->induceHealth(health::HealthState::Degraded, 60000);
+    h.induceAll(health::HealthState::Degraded, 60000);
     ServiceClient client(h.clientOptions(/*attempts=*/1,
                                          /*timeout_ms=*/1000));
 
@@ -480,7 +487,7 @@ TEST_P(NetService, StressedShedsUpdatesButServesLookups)
 {
     Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
-    h.service->induceHealth(health::HealthState::Stressed, 60000);
+    h.induceAll(health::HealthState::Stressed, 60000);
     ServiceClient client(h.clientOptions(/*attempts=*/1));
 
     EXPECT_EQ(client.update({announceOf(0xC0A80000u, 16, 1)}).status,
@@ -495,7 +502,7 @@ TEST_P(NetService, InducedHealthExpires)
 {
     Harness h(GetParam());
     ASSERT_TRUE(h.service->start());
-    h.service->induceHealth(health::HealthState::Degraded, 50);
+    h.induceAll(health::HealthState::Degraded, 50);
     ServiceClient client(h.clientOptions(/*attempts=*/1));
     EXPECT_EQ(client.lookup({Key128::fromIpv4(1u)}).status,
               CallStatus::Overloaded);

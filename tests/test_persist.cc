@@ -1183,6 +1183,162 @@ TEST(PersistRecovery, ReplayCrossesExpireAndResizeMark)
     removeFile(jpath);
 }
 
+// ---- the plane audit -------------------------------------------------------
+
+/**
+ * A stand-in plane for auditEngine(): exact-prefix routes in a table,
+ * LPM by a trie over them, and per-key planted lookup answers — so
+ * each test can plant exactly one divergence.
+ */
+struct FakePlane
+{
+    RoutingTable routes;
+    std::vector<std::pair<Key128, LookupResult>> planted;
+
+    std::optional<NextHop> find(const Prefix &p) const
+    {
+        return routes.find(p);
+    }
+
+    size_t routeCount() const { return routes.size(); }
+
+    LookupResult lookup(const Key128 &key) const
+    {
+        for (const auto &[k, r] : planted)
+            if (k == key)
+                return r;
+        LookupResult r;
+        if (std::optional<Route> m = BinaryTrie(routes).lookup(key)) {
+            r.found = true;
+            r.nextHop = m->nextHop;
+            r.matchedLength = m->prefix.length();
+        }
+        return r;
+    }
+};
+
+RoutingTable
+auditTruth()
+{
+    RoutingTable t;
+    t.add(Prefix::fromCidr("10.0.0.0/8"), 1);
+    t.add(Prefix::fromCidr("10.1.0.0/16"), 2);
+    t.add(Prefix::fromCidr("192.168.0.0/24"), 3);
+    return t;
+}
+
+std::vector<Key128>
+auditKeys()
+{
+    return {Key128::fromIpv4(0x0A010203u), Key128::fromIpv4(0x0A020304u),
+            Key128::fromIpv4(0xC0A80007u), Key128::fromIpv4(0x08080808u)};
+}
+
+TEST(PlaneAudit, ExactPlanePasses)
+{
+    FakePlane plane{auditTruth(), {}};
+    persist::PlaneAudit a =
+        persist::auditEngine(plane, auditTruth(), auditKeys());
+    EXPECT_TRUE(a.passed());
+    EXPECT_EQ(a.missing + a.mismatched + a.phantom + a.oracleMismatches,
+              0u);
+}
+
+TEST(PlaneAudit, EachRouteDivergenceHasItsOwnBucket)
+{
+    const RoutingTable truth = auditTruth();
+    const Prefix p16 = Prefix::fromCidr("10.1.0.0/16");
+
+    FakePlane missing{truth, {}};
+    missing.routes.remove(p16);
+    persist::PlaneAudit a = persist::auditEngine(missing, truth);
+    EXPECT_EQ(a.missing, 1u);
+    EXPECT_EQ(a.mismatched, 0u);
+    EXPECT_EQ(a.phantom, 0u);
+    EXPECT_FALSE(a.passed());
+
+    FakePlane wrongHop{truth, {}};
+    wrongHop.routes.add(p16, 99);
+    a = persist::auditEngine(wrongHop, truth);
+    EXPECT_EQ(a.missing, 0u);
+    EXPECT_EQ(a.mismatched, 1u);
+    EXPECT_EQ(a.phantom, 0u);
+    EXPECT_FALSE(a.passed());
+
+    FakePlane phantom{truth, {}};
+    phantom.routes.add(Prefix::fromCidr("172.16.0.0/12"), 4);
+    a = persist::auditEngine(phantom, truth);
+    EXPECT_EQ(a.missing, 0u);
+    EXPECT_EQ(a.mismatched, 0u);
+    EXPECT_EQ(a.phantom, 1u);
+    EXPECT_FALSE(a.passed());
+
+    // One lost and one extra route leave routeCount unchanged; the
+    // phantom count still sees the extra one.
+    FakePlane swapped{truth, {}};
+    swapped.routes.remove(p16);
+    swapped.routes.add(Prefix::fromCidr("172.16.0.0/12"), 4);
+    a = persist::auditEngine(swapped, truth);
+    EXPECT_EQ(a.missing, 1u);
+    EXPECT_EQ(a.phantom, 1u);
+}
+
+TEST(PlaneAudit, WrongMatchedLengthFailsTheOracleSample)
+{
+    // Right route set, right next hop — but the plane claims the key
+    // matched /8 where the longest match is 10.1.0.0/16.
+    const RoutingTable truth = auditTruth();
+    LookupResult lie;
+    lie.found = true;
+    lie.nextHop = 2;
+    lie.matchedLength = 8;
+    FakePlane plane{truth, {{Key128::fromIpv4(0x0A010203u), lie}}};
+
+    persist::PlaneAudit a =
+        persist::auditEngine(plane, truth, auditKeys());
+    EXPECT_EQ(a.missing, 0u);
+    EXPECT_EQ(a.mismatched, 0u);
+    EXPECT_EQ(a.phantom, 0u);
+    EXPECT_EQ(a.oracleMismatches, 1u);
+    EXPECT_FALSE(a.passed());
+
+    // The oracle half alone, as used for lookup-only planes.
+    persist::PlaneAudit sampleOnly;
+    persist::auditSample(plane, truth, auditKeys(), sampleOnly);
+    EXPECT_EQ(sampleOnly.oracleMismatches, 1u);
+}
+
+TEST(PlaneAudit, JournalTruthRemovesOnWithdrawAndExpire)
+{
+    RoutingTable initial = auditTruth();
+    JournalScan scan;
+    auto record = [&scan](UpdateKind kind, const char *cidr,
+                          NextHop hop) {
+        JournalRecord rec;
+        rec.type = JournalRecord::Type::Update;
+        rec.seq = scan.records.size() + 1;
+        rec.update.kind = kind;
+        rec.update.prefix = Prefix::fromCidr(cidr);
+        rec.update.nextHop = hop;
+        scan.records.push_back(rec);
+    };
+    record(UpdateKind::Announce, "172.16.0.0/12", 4);
+    record(UpdateKind::Expire, "10.1.0.0/16", kNoRoute);
+    record(UpdateKind::Withdraw, "192.168.0.0/24", kNoRoute);
+    record(UpdateKind::Announce, "10.0.0.0/8", 7);
+    JournalRecord mark;
+    mark.type = JournalRecord::Type::SnapshotMark;
+    mark.seq = 4;
+    scan.records.push_back(mark);
+
+    RoutingTable truth = persist::journalTruth(initial, scan);
+    EXPECT_EQ(truth.size(), 2u);
+    EXPECT_FALSE(truth.contains(Prefix::fromCidr("10.1.0.0/16")));
+    EXPECT_FALSE(truth.contains(Prefix::fromCidr("192.168.0.0/24")));
+    EXPECT_EQ(truth.find(Prefix::fromCidr("10.0.0.0/8")), NextHop(7));
+    EXPECT_EQ(truth.find(Prefix::fromCidr("172.16.0.0/12")), NextHop(4));
+}
+
 TEST(PersistRecovery, TelemetryCountersRecordRecovery)
 {
     telemetry::MetricRegistry registry;
