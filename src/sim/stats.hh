@@ -8,6 +8,7 @@
 #ifndef CHISEL_SIM_STATS_HH
 #define CHISEL_SIM_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -106,6 +107,29 @@ class StopWatch
   private:
     uint64_t startNs_;
 };
+
+/**
+ * Mean software ns per call of @p op, for the benches' ns/op rows.
+ *
+ * Calls op(i) for i in [0, warmup) untimed, then for i in [0, ops)
+ * under a StopWatch.  Each call returns a uint64_t that is summed
+ * into @p checksum; the bench prints the checksum, so the compiler
+ * cannot drop the timed loop as dead code.
+ */
+template <typename Op>
+double
+nsPerOp(size_t warmup, size_t ops, uint64_t &checksum, Op &&op)
+{
+    uint64_t sum = 0;
+    for (size_t i = 0; i < warmup; ++i)
+        sum += op(i);
+    StopWatch watch;
+    for (size_t i = 0; i < ops; ++i)
+        sum += op(i);
+    double ns = static_cast<double>(watch.ns());
+    checksum += sum;
+    return ns / static_cast<double>(ops);
+}
 
 } // namespace chisel
 

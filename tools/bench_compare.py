@@ -11,13 +11,10 @@ Modes:
     --self-test       run the embedded unit tests and exit
     (default)         validate both sides, then compare each scenario
 
-Schema policy: chisel.bench.v1 is additive.  Documents may carry
-fields beyond REQUIRED_FIELDS (newer producers report more gauges,
-e.g. the "replication" family emitted when a bench runs with a warm
-standby attached).  Known additive families are type-checked when
-present; unrecognized extras are warned about but never fail
-validation, so a baseline captured before a gauge existed still
-compares against a candidate that reports it.
+Schema policy: chisel.bench.v1 is closed.  A document carries exactly
+REQUIRED_FIELDS; a missing field, a field of the wrong type, or any
+other top-level field fails validation.  A producer that reports a new
+gauge bumps the schema instead.
 
 Comparison rules (per scenario):
     * config_fingerprint must match -- two documents with different
@@ -26,8 +23,8 @@ Comparison rules (per scenario):
     * ops_per_sec: candidate/baseline must be >= --threshold.
     * p99_ns: candidate must be <= baseline / --threshold (latency may
       grow by the reciprocal of the allowed throughput shrink).
-    * accesses_per_op: candidate must be <= baseline * --access-slack;
-      skipped when either side is 0 (tracing compiled out).
+    * accesses_per_op: candidate must be <= baseline * ACCESS_SLACK
+      (1.05); skipped when either side is 0 (tracing compiled out).
 
 Exit status: 0 all good, 1 validation failure or regression, 2 usage.
 """
@@ -56,70 +53,8 @@ REQUIRED_FIELDS = {
     "accesses_per_op": (int, float),
 }
 
-# Known additive families: absent is fine, but when present the
-# family must be an object whose listed gauges (if reported) are
-# numeric.  "replication" mirrors the ReplicationLog / Follower
-# telemetry gauges (docs/replication.md).
-OPTIONAL_FAMILIES = {
-    "replication": [
-        "records_shipped",
-        "snapshots_shipped",
-        "bytes_shipped",
-        "reconnects",
-        "lag_records",
-        "epoch",
-        "fence_rejects",
-        "records_applied",
-        "snapshots_installed",
-    ],
-    # RPC service gauges (docs/service.md): the serving-side wear
-    # counters.  The kill/restart soak's audit numbers live in the
-    # shard family (the service soak is shard_soak --shards=1).
-    "service": [
-        "requests",
-        "acked",
-        "unacked",
-        "overloaded",
-        "shed_updates",
-        "backpressure_pauses",
-        "idle_disconnects",
-        "stall_disconnects",
-    ],
-    # Sharded dataplane gauges (docs/sharding.md): the shard soak's
-    # per-shard route counts, quarantine transitions and audit
-    # numbers.  Entries ending in "*" are prefix wildcards --
-    # "routes_shard_*" matches "routes_shard_0", "routes_shard_1",
-    # ... for any shard count; every match is type-checked exactly
-    # like a listed gauge.
-    "shard": [
-        "shards",
-        "partition_bits",
-        "routes",
-        "kills",
-        "force_quarantines",
-        "quarantine_transitions",
-        "lost",
-        "phantom",
-        "oracle_mismatches",
-        "detect_ms",
-        "recover_ms",
-        "healthy_p99_us",
-        "shed_demo_ms",
-        "routes_shard_*",
-        "quarantine_shard_*",
-    ],
-}
-
-
-def gauge_known(gauge, gauges):
-    """Is @p gauge listed, either literally or via a '*' wildcard?"""
-    for known in gauges:
-        if known.endswith("*"):
-            if gauge.startswith(known[:-1]):
-                return True
-        elif gauge == known:
-            return True
-    return False
+# accesses/op may grow by this factor before the gate fails.
+ACCESS_SLACK = 1.05
 
 
 def fail(msg):
@@ -155,44 +90,12 @@ def validate(doc, path):
     ):
         ok = fail(f"{path}: ops_per_sec must be > 0")
 
-    for family, gauges in OPTIONAL_FAMILIES.items():
-        if family not in doc:
-            continue
-        block = doc[family]
-        if not isinstance(block, dict):
-            ok = fail(
-                f"{path}: additive family '{family}' must be an "
-                f"object, got {type(block).__name__}"
-            )
-            continue
-        for gauge, value in block.items():
-            if not gauge_known(gauge, gauges):
-                print(
-                    f"bench_compare: note: {path}: unrecognized "
-                    f"'{family}.{gauge}' (additive, tolerated)"
-                )
-            elif not isinstance(value, (int, float)) or isinstance(
-                value, bool
-            ):
-                ok = fail(
-                    f"{path}: gauge '{family}.{gauge}' must be "
-                    f"numeric, got {type(value).__name__}"
-                )
-
-    extras = (
-        set(doc) - set(REQUIRED_FIELDS) - set(OPTIONAL_FAMILIES)
-    )
-    for field in sorted(extras):
-        # Additive schema: tolerate, but say so -- a typo'd required
-        # field shows up here right next to its "missing" failure.
-        print(
-            f"bench_compare: note: {path}: extra field "
-            f"'{field}' (additive, tolerated)"
-        )
+    for field in sorted(set(doc) - set(REQUIRED_FIELDS)):
+        ok = fail(f"{path}: unknown field '{field}' (schema is closed)")
     return ok
 
 
-def compare(scenario, base, cand, args):
+def compare(scenario, base, cand, threshold):
     ok = True
     if base["config_fingerprint"] != cand["config_fingerprint"]:
         return fail(
@@ -208,14 +111,14 @@ def compare(scenario, base, cand, args):
         f"{base['ops_per_sec']:14.0f} -> {cand['ops_per_sec']:14.0f} "
         f"({ratio:6.2%})"
     )
-    if ratio < args.threshold:
+    if ratio < threshold:
         ok = fail(
             f"{scenario}: throughput regressed to {ratio:.2%} of "
-            f"baseline (floor {args.threshold:.2%})"
+            f"baseline (floor {threshold:.2%})"
         )
 
     if base["p99_ns"] > 0:
-        allowed = base["p99_ns"] / args.threshold
+        allowed = base["p99_ns"] / threshold
         if cand["p99_ns"] > allowed:
             ok = fail(
                 f"{scenario}: p99 regressed {base['p99_ns']} -> "
@@ -223,7 +126,7 @@ def compare(scenario, base, cand, args):
             )
 
     if base["accesses_per_op"] > 0 and cand["accesses_per_op"] > 0:
-        ceiling = base["accesses_per_op"] * args.access_slack
+        ceiling = base["accesses_per_op"] * ACCESS_SLACK
         if cand["accesses_per_op"] > ceiling:
             ok = fail(
                 f"{scenario}: accesses/op regressed "
@@ -253,10 +156,7 @@ def self_test():
         "p99_ns": 4000,
         "accesses_per_op": 0,
     }
-
-    class Args:
-        threshold = 0.75
-        access_slack = 1.05
+    threshold = 0.75
 
     failures = []
 
@@ -271,51 +171,12 @@ def self_test():
 
     doc = copy.deepcopy(base_doc)
     doc["brand_new_scalar"] = 7
-    check("additive scalar tolerated", validate(doc, "t"), True)
+    check("extra top-level field rejected", validate(doc, "t"), False)
 
     doc = copy.deepcopy(base_doc)
-    doc["replication"] = {
-        "records_shipped": 1200,
-        "lag_records": 3,
-        "epoch": 2,
-        "fence_rejects": 0,
-    }
-    check("replication gauges tolerated", validate(doc, "t"), True)
-
-    doc = copy.deepcopy(base_doc)
-    doc["replication"] = {"brand_new_gauge": 1}
-    check("unknown replication gauge tolerated",
-          validate(doc, "t"), True)
-
-    doc = copy.deepcopy(base_doc)
-    doc["replication"] = {"lag_records": "three"}
-    check("non-numeric gauge rejected", validate(doc, "t"), False)
-
-    doc = copy.deepcopy(base_doc)
-    doc["replication"] = [1, 2]
-    check("non-object family rejected", validate(doc, "t"), False)
-
-    doc = copy.deepcopy(base_doc)
-    doc["shard"] = {
-        "shards": 4,
-        "kills": 2,
-        "lost": 0,
-        "phantom": 0,
-        "routes_shard_0": 1200,
-        "routes_shard_3": 1180,
-        "quarantine_shard_1": 1,
-    }
-    check("shard gauges incl. wildcards tolerated",
-          validate(doc, "t"), True)
-
-    doc = copy.deepcopy(base_doc)
-    doc["shard"] = {"routes_shard_2": "many"}
-    check("non-numeric wildcard gauge rejected",
+    doc["replication"] = {"records_shipped": 1200, "lag_records": 3}
+    check("old-style replication family rejected",
           validate(doc, "t"), False)
-
-    doc = copy.deepcopy(base_doc)
-    doc["shard"] = {"brand_new_gauge": 1}
-    check("unknown shard gauge tolerated", validate(doc, "t"), True)
 
     doc = copy.deepcopy(base_doc)
     del doc["p99_ns"]
@@ -331,28 +192,33 @@ def self_test():
 
     good = copy.deepcopy(base_doc)
     check("identical docs compare clean",
-          compare("t", base_doc, good, Args), True)
+          compare("t", base_doc, good, threshold), True)
 
     slow = copy.deepcopy(base_doc)
     slow["ops_per_sec"] = base_doc["ops_per_sec"] * 0.5
-    check("10x-ish regression caught",
-          compare("t", base_doc, slow, Args), False)
+    check("throughput below floor caught",
+          compare("t", base_doc, slow, threshold), False)
 
     lat = copy.deepcopy(base_doc)
     lat["p99_ns"] = base_doc["p99_ns"] * 10
-    check("p99 regression caught",
-          compare("t", base_doc, lat, Args), False)
+    check("p99 above ceiling caught",
+          compare("t", base_doc, lat, threshold), False)
 
     other = copy.deepcopy(base_doc)
     other["config_fingerprint"] = "ffffffff"
     check("fingerprint mismatch refused",
-          compare("t", base_doc, other, Args), False)
+          compare("t", base_doc, other, threshold), False)
 
-    richer = copy.deepcopy(base_doc)
-    richer["replication"] = {"records_shipped": 5}
-    check("candidate with extra family compares vs bare baseline",
-          validate(richer, "t") and compare("t", base_doc, richer, Args),
-          True)
+    traced = copy.deepcopy(base_doc)
+    traced["accesses_per_op"] = 4.0
+    within = copy.deepcopy(traced)
+    within["accesses_per_op"] = 4.0 * 1.04
+    check("accesses/op within slack accepted",
+          compare("t", traced, within, threshold), True)
+    past = copy.deepcopy(traced)
+    past["accesses_per_op"] = 4.0 * 1.06
+    check("accesses/op past slack caught",
+          compare("t", traced, past, threshold), False)
 
     if failures:
         print(f"bench_compare: self-test FAILED: {failures}")
@@ -369,21 +235,10 @@ def main():
     ap.add_argument("--baseline", help="directory with baseline JSONs")
     ap.add_argument("--candidate", help="directory with new JSONs")
     ap.add_argument(
-        "--scenarios",
-        default=",".join(SCENARIOS),
-        help="comma-separated subset to check",
-    )
-    ap.add_argument(
         "--threshold",
         type=float,
         default=0.75,
         help="minimum allowed candidate/baseline throughput ratio",
-    )
-    ap.add_argument(
-        "--access-slack",
-        type=float,
-        default=1.05,
-        help="maximum allowed accesses/op growth factor",
     )
     ap.add_argument(
         "--validate-only",
@@ -404,13 +259,8 @@ def main():
     if not args.validate_only and not args.baseline:
         ap.error("--baseline is required unless --validate-only")
 
-    scenarios = [s for s in args.scenarios.split(",") if s]
-    unknown = set(scenarios) - set(SCENARIOS)
-    if unknown:
-        ap.error(f"unknown scenario(s): {', '.join(sorted(unknown))}")
-
     ok = True
-    for scenario in scenarios:
+    for scenario in SCENARIOS:
         name = f"BENCH_{scenario}.json"
         cand = load(os.path.join(args.candidate, name))
         if cand is None or not validate(cand, name):
@@ -423,7 +273,7 @@ def main():
         if base is None or not validate(base, f"baseline/{name}"):
             ok = False
             continue
-        if not compare(scenario, base, cand, args):
+        if not compare(scenario, base, cand, args.threshold):
             ok = False
 
     if ok:
