@@ -140,7 +140,8 @@ int
 nodeMain(const SoakOptions &o)
 {
     // Per-shard fault injectors: every shard's control thread runs
-    // its applies, scrubs, and recovery actions on a hostile engine.
+    // its applies and recovery actions on a hostile engine (its scrub
+    // passes run outside the injector).
     // Probabilities are modest so the storm keeps making progress —
     // the health monitors flap shards through Stressed/Degraded and
     // the ladders pull them back while siblings serve.
@@ -896,6 +897,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     ShardedOptions apopts = planeOptions(o);
     apopts.engine.controlThread = false;
     apopts.engine.healthMonitor = false;
+    apopts.engine.scrubInterval = {};
     apopts.audit = true;
     ShardedChisel recovered(RoutingTable{}, apopts);
 

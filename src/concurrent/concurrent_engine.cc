@@ -18,6 +18,8 @@ ConcurrentChisel::ConcurrentChisel(const RoutingTable &initial,
       admission_(options.admission, queue_.capacity()),
       monitor_(options.health)
 {
+    if (options_.scrubInterval.count() > 0 && !options_.controlThread)
+        fatalError("ConcurrentChisel: scrubInterval needs controlThread");
     ttlEpoch_ = std::chrono::steady_clock::now();
     // Both images are built from the same table with the same config
     // and seed, so they are identical by construction; the update
@@ -28,8 +30,6 @@ ConcurrentChisel::ConcurrentChisel(const RoutingTable &initial,
 
     if (options_.controlThread)
         controlThread_ = std::thread([this] { controlLoop(); });
-    if (options_.scrubInterval.count() > 0)
-        scrubThread_ = std::thread([this] { scrubLoop(); });
 }
 
 ConcurrentChisel::~ConcurrentChisel()
@@ -37,8 +37,6 @@ ConcurrentChisel::~ConcurrentChisel()
     stop_.store(true, std::memory_order_release);
     if (controlThread_.joinable())
         controlThread_.join();
-    if (scrubThread_.joinable())
-        scrubThread_.join();
 }
 
 // ---- Read side -------------------------------------------------------------
@@ -255,6 +253,8 @@ ConcurrentChisel::controlLoop()
         std::chrono::steady_clock::now() + options_.healthInterval;
     auto next_gc =
         std::chrono::steady_clock::now() + options_.gcInterval;
+    auto next_scrub =
+        std::chrono::steady_clock::now() + options_.scrubInterval;
 
     for (;;) {
         std::optional<Update> update = queue_.pop();
@@ -284,6 +284,15 @@ ConcurrentChisel::controlLoop()
             if (now >= next_gc) {
                 gcTick();
                 next_gc = now + options_.gcInterval;
+            }
+        }
+        if (options_.scrubInterval.count() > 0) {
+            auto now = std::chrono::steady_clock::now();
+            if (now >= next_scrub) {
+                // Scrub passes stay outside the chaos injector.
+                fault::ScopedInjector clean(nullptr);
+                scrubNow();
+                next_scrub = now + options_.scrubInterval;
             }
         }
     }
@@ -448,22 +457,6 @@ uint64_t
 ConcurrentChisel::scrubPasses() const
 {
     return scrubPasses_.load(std::memory_order_relaxed);
-}
-
-void
-ConcurrentChisel::scrubLoop()
-{
-    // Sleep in small slices so shutdown never waits a full interval.
-    const auto slice = std::chrono::milliseconds(1);
-    auto remaining = options_.scrubInterval;
-    while (!stop_.load(std::memory_order_acquire)) {
-        if (remaining.count() <= 0) {
-            scrubNow();
-            remaining = options_.scrubInterval;
-        }
-        std::this_thread::sleep_for(slice);
-        remaining -= slice;
-    }
 }
 
 // ---- Health ----------------------------------------------------------------

@@ -28,9 +28,10 @@
  *
  * A bounded SPSC queue decouples the update producer (one BGP session
  * feed) from the apply path: post() never blocks, and an internal
- * control thread drains the queue in order.  A background scrubber
- * thread walks the idle image's parity words on a configurable
- * cadence, running recover-by-resetup off the reader critical path.
+ * control thread drains the queue in order.  The same thread runs
+ * periodic scrub passes over the idle image's parity words on a
+ * configurable cadence, recovering by resetup off the reader critical
+ * path.
  */
 
 #ifndef CHISEL_CONCURRENT_CONCURRENT_ENGINE_HH
@@ -80,9 +81,11 @@ struct ConcurrentOptions
     bool controlThread = true;
 
     /**
-     * Background scrub cadence; zero disables the scrubber thread.
-     * Each pass verifies every parity word of the idle image and
-     * recovers corrupted cells by resetup (docs/concurrency.md).
+     * Scrub cadence of the control thread; zero disables periodic
+     * scrubbing, and a nonzero cadence requires controlThread (the
+     * constructor throws ChiselError otherwise).  Each pass verifies
+     * every parity word of both images and recovers corrupted cells
+     * by resetup (docs/concurrency.md).
      */
     std::chrono::milliseconds scrubInterval{0};
 
@@ -173,7 +176,7 @@ class ConcurrentChisel
                               const ChiselConfig &config = {},
                               const ConcurrentOptions &options = {});
 
-    /** Joins the control and scrubber threads; pending posts drain. */
+    /** Joins the control thread; pending posts drain. */
     ~ConcurrentChisel();
 
     ConcurrentChisel(const ConcurrentChisel &) = delete;
@@ -243,7 +246,7 @@ class ConcurrentChisel
     /**
      * One synchronous scrub pass over BOTH images (each scrubbed
      * while idle; the pass flips the live pointer once).  Also run
-     * periodically by the scrubber thread when enabled.
+     * periodically by the control thread when scrubInterval is set.
      */
     ScrubReport scrubNow();
 
@@ -442,7 +445,6 @@ class ConcurrentChisel
     bool resizeLocked(const ChiselConfig &grown);
 
     void controlLoop();
-    void scrubLoop();
 
     ChiselConfig config_;
     ConcurrentOptions options_;
@@ -473,7 +475,6 @@ class ConcurrentChisel
     std::atomic<uint64_t> drained_{0};
     std::atomic<bool> stop_{false};
     std::thread controlThread_;
-    std::thread scrubThread_;
 
     /** Producer-side admission filter (single producer thread). */
     health::AdmissionController admission_;

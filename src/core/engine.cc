@@ -306,8 +306,12 @@ ChiselEngine::lookupImpl(const Key128 &key) const
 
     // All sub-cells probe in parallel; the priority encoder picks the
     // hit with the longest base.  Scanning in descending base order,
-    // the first hit is that winner (cell ranges are disjoint).
+    // the first hit is that winner (cell ranges are disjoint).  A cell
+    // holding no route cannot hit, so software skips its probe; the
+    // hardware model in accessCounters() still charges every cell.
     for (auto it = cells_.rbegin(); it != cells_.rend(); ++it) {
+        if ((*it)->routeCount() == 0)
+            continue;
         SubCell::Hit h = (*it)->lookup(key);
         if (h.hit) {
             out.found = true;

@@ -502,6 +502,16 @@ TEST(ConcurrentChisel, BackgroundScrubberRuns)
     EXPECT_TRUE(c.selfCheck());
 }
 
+TEST(ConcurrentChisel, ScrubCadenceNeedsControlThread)
+{
+    // Periodic scrubs run on the control thread, so a cadence without
+    // one is refused instead of silently never scrubbing.
+    ConcurrentOptions opts;
+    opts.controlThread = false;
+    opts.scrubInterval = std::chrono::milliseconds(1);
+    EXPECT_THROW(ConcurrentChisel(RoutingTable{}, {}, opts), ChiselError);
+}
+
 // ---- The stress test -------------------------------------------------------
 
 /** One recorded reader observation. */

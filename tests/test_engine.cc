@@ -173,11 +173,11 @@ TEST(Engine, UpdateChurnMatchesOracle)
 template <typename Plane>
 ::testing::AssertionResult
 answersLikeOracle(const Plane &plane, const RoutingTable &truth,
-                  const std::vector<Key128> &keys)
+                  const std::vector<Key128> &keys, unsigned key_width = 32)
 {
     BinaryTrie oracle(truth);
     for (const Key128 &key : keys) {
-        auto a = oracle.lookup(key, 32);
+        auto a = oracle.lookup(key, key_width);
         auto b = plane.lookup(key);
         if (a.has_value() != b.found ||
             (a && (a->nextHop != b.nextHop ||
@@ -310,6 +310,60 @@ TEST(Engine, Ipv6EndToEnd)
     }
     // Key-width independence: still 4 accesses.
     EXPECT_EQ(e.lookup(keys[0]).memoryAccesses, 4u);
+}
+
+TEST(Engine, EmptyCellsAnswerLikeOracleAt128BitWidth)
+{
+    // IPv4 lengths at 128-bit width leave most cells without a route;
+    // lookups skip those cells, so a cell that gains its first route or
+    // loses its last one must start or stop answering at once.
+    SynthProfile prof;
+    prof.prefixes = 3000;
+    prof.keyWidth = 128;
+    prof.lengthWeights = defaultIpv4LengthWeights();
+    prof.seed = 0x128;
+    RoutingTable truth = generateTable(prof);
+    ChiselConfig cfg;
+    cfg.keyWidth = 128;
+    ChiselEngine e(truth, cfg);
+
+    size_t top = e.cellCount() - 1;
+    ASSERT_EQ(e.cell(top).routeCount(), 0u);
+    auto keys = generateLookupKeys(truth, 3000, 128, 0.9, 0x129);
+    ASSERT_TRUE(answersLikeOracle(e, truth, keys, 128));
+
+    // Announce into the empty longest-base cell, on a key already
+    // covered by a shorter route, then withdraw that cell's only route.
+    Prefix deep(keys[0], e.cell(top).top());
+    e.announce(deep, 77);
+    truth.add(deep, 77);
+    ASSERT_EQ(e.cell(top).routeCount(), 1u);
+    ASSERT_TRUE(answersLikeOracle(e, truth, keys, 128));
+    EXPECT_EQ(e.lookup(keys[0]).matchedLength, deep.length());
+
+    e.withdraw(deep);
+    truth.remove(deep);
+    ASSERT_EQ(e.cell(top).routeCount(), 0u);
+    ASSERT_TRUE(answersLikeOracle(e, truth, keys, 128));
+
+    // Drain the smallest populated cell: its groups stay behind dirty
+    // with no route left.
+    size_t small = top;
+    for (size_t c = 0; c < e.cellCount(); ++c) {
+        size_t n = e.cell(c).routeCount();
+        if (n > 0 && (small == top || n < e.cell(small).routeCount()))
+            small = c;
+    }
+    ASSERT_NE(small, top);
+    for (const Route &r : truth.routes()) {
+        if (r.prefix.length() >= e.cell(small).base() &&
+            r.prefix.length() <= e.cell(small).top()) {
+            e.withdraw(r.prefix);
+            truth.remove(r.prefix);
+        }
+    }
+    ASSERT_EQ(e.cell(small).routeCount(), 0u);
+    EXPECT_TRUE(answersLikeOracle(e, truth, keys, 128));
 }
 
 TEST(Engine, StorageAccountingConsistent)

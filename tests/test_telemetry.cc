@@ -4,8 +4,10 @@
  * writer, MetricRegistry (counters / gauges / power-of-two
  * histograms), the access tracer and its engine binding, the Chrome
  * trace sink, and the leveled logging upgrade (log sink, levels,
- * warnOnce).  The access-budget integration test checks the traced
- * per-lookup count against the paper's analytical budget.
+ * warnOnce).  The access-budget integration tests check the traced
+ * per-lookup count against the paper's analytical budget, and the
+ * per-lookup and per-update counts on synthetic tables against their
+ * recorded ceilings.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 
 #include "common/logging.hh"
 #include "core/engine.hh"
+#include "route/synth.hh"
+#include "route/updates.hh"
 #include "telemetry/engine_telemetry.hh"
 #include "telemetry/json.hh"
 #include "telemetry/metrics.hh"
@@ -734,6 +738,51 @@ TEST(EngineTelemetry, LookupAccessesMatchAnalyticalBudget)
               kRoutes);
     EXPECT_EQ(
         registry.findCounter("engine.lookup.spill_hits")->value(), 0u);
+}
+
+TEST(EngineTelemetry, SyntheticTableAccessesWithinRecordedBudget)
+{
+    // The access budget at scale: traced reads per lookup over a 5k
+    // table, and reads plus writes per update over an 8k table after a
+    // 20k-update trace.  The ceilings are the last recorded figures
+    // (13.70 and 15.81) with 5% slack; a change that adds table
+    // traffic to either path trips them, as does one extra read per
+    // lookup or per update.
+#if !CHISEL_TRACING_ENABLED
+    GTEST_SKIP() << "access hooks compiled out";
+#endif
+    const double kSlack = 1.05;
+    {
+        RoutingTable table = generateScaledTable(5000, 32, 0xBE);
+        ChiselEngine engine(table);
+        const unsigned kKeys = 4096;
+        std::vector<Key128> keys =
+            generateLookupKeys(table, kKeys, 32, 0.85, 0xBF);
+        AccessTracer tracer;
+        {
+            ScopedTracer scope(&tracer);
+            for (const Key128 &key : keys)
+                engine.lookup(key);
+        }
+        EXPECT_LE(double(tracer.totalReads()) / kKeys, 13.70 * kSlack);
+    }
+    {
+        RoutingTable table = generateScaledTable(8000, 32, 0x0C7);
+        ChiselEngine engine(table);
+        UpdateTraceGenerator gen(table, TraceProfile{}, 32, 0x0C8);
+        for (unsigned i = 0; i < 20000; ++i)
+            engine.apply(gen.next());
+        const unsigned kTraced = 512;
+        AccessTracer tracer;
+        {
+            ScopedTracer scope(&tracer);
+            for (unsigned i = 0; i < kTraced; ++i)
+                engine.apply(gen.next());
+        }
+        EXPECT_LE(double(tracer.totalReads() + tracer.totalWrites()) /
+                      kTraced,
+                  15.81 * kSlack);
+    }
 }
 
 TEST(EngineTelemetry, TracedCountsBoundedByModeledCounters)

@@ -1,30 +1,24 @@
 #!/usr/bin/env python3
-"""Compare perf_driver BENCH_*.json documents and gate regressions.
+"""Gate perfbench result documents against checked-in baselines.
 
 Usage:
-    bench_compare.py --baseline DIR --candidate DIR [options]
+    bench_compare.py --baseline DIR --candidate DIR [--threshold T]
     bench_compare.py --validate-only --candidate DIR
     bench_compare.py --self-test
 
-Modes:
-    --validate-only   only schema-check the candidate documents
-    --self-test       run the embedded unit tests and exit
-    (default)         validate both sides, then compare each scenario
+Each DIR holds one <workload>.json per workload named in BENCHMARK.json:
+the JSON line perfbench/run.py prints last, {"correct", "attempted",
+"failed", "metrics": {name: {"value", "unit"}}}.  The metric names,
+units and `better` directions come from BENCHMARK.json's end_to_end
+list, which this script only reads.
 
-Schema policy: chisel.bench.v1 is closed.  A document carries exactly
-REQUIRED_FIELDS; a missing field, a field of the wrong type, or any
-other top-level field fails validation.  A producer that reports a new
-gauge bumps the schema instead.
-
-Comparison rules (per scenario):
-    * config_fingerprint must match -- two documents with different
-      fingerprints measured different workloads, and comparing them
-      would be meaningless; this is a hard error, not a skip.
-    * ops_per_sec: candidate/baseline must be >= --threshold.
-    * p99_ns: candidate must be <= baseline / --threshold (latency may
-      grow by the reciprocal of the allowed throughput shrink).
-    * accesses_per_op: candidate must be <= baseline * ACCESS_SLACK
-      (1.05); skipped when either side is 0 (tracing compiled out).
+Rules, per workload:
+    * the metric set is closed: a metric missing from, or not named in,
+      the end_to_end list fails, as does a unit that differs from it;
+    * correct must be true and failed must be 0 (the trie oracle
+      agreed with every answer, and no operation failed);
+    * a `higher` metric must be at least T x its baseline;
+    * a `lower` metric must be at most its baseline / T.
 
 Exit status: 0 all good, 1 validation failure or regression, 2 usage.
 """
@@ -34,27 +28,8 @@ import json
 import os
 import sys
 
-SCHEMA = "chisel.bench.v1"
-SCENARIOS = ["lookup", "update", "concurrent"]
-
-REQUIRED_FIELDS = {
-    "schema": str,
-    "scenario": str,
-    "commit": str,
-    "config_fingerprint": str,
-    "quick": bool,
-    "table_size": int,
-    "ops": int,
-    "threads": int,
-    "ops_per_sec": (int, float),
-    "p50_ns": int,
-    "p95_ns": int,
-    "p99_ns": int,
-    "accesses_per_op": (int, float),
-}
-
-# accesses/op may grow by this factor before the gate fails.
-ACCESS_SLACK = 1.05
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "BENCHMARK.json")
 
 
 def fail(msg):
@@ -71,92 +46,75 @@ def load(path):
         return None
 
 
-def validate(doc, path):
-    ok = True
-    for field, kind in REQUIRED_FIELDS.items():
-        if field not in doc:
-            ok = fail(f"{path}: missing field '{field}'")
-        elif not isinstance(doc[field], kind) or (
-            kind is int and isinstance(doc[field], bool)
-        ):
-            ok = fail(
-                f"{path}: field '{field}' has type "
-                f"{type(doc[field]).__name__}"
-            )
-    if doc.get("schema") not in (None, SCHEMA):
-        ok = fail(f"{path}: schema '{doc['schema']}' != '{SCHEMA}'")
-    if isinstance(doc.get("ops_per_sec"), (int, float)) and not (
-        doc["ops_per_sec"] > 0
-    ):
-        ok = fail(f"{path}: ops_per_sec must be > 0")
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    for field in sorted(set(doc) - set(REQUIRED_FIELDS)):
-        ok = fail(f"{path}: unknown field '{field}' (schema is closed)")
+
+def validate(doc, spec, path):
+    """Check @p doc against the end_to_end list @p spec."""
+    if not isinstance(doc, dict):
+        return fail(f"{path}: not a JSON object")
+    ok = True
+    if doc.get("correct") is not True:
+        ok = fail(f"{path}: correct is {doc.get('correct')!r}, "
+                  "not true (oracle mismatch)")
+    failed = doc.get("failed")
+    if not is_number(failed) or failed != 0:
+        ok = fail(f"{path}: failed is {failed!r}, not 0")
+    metrics = doc.get("metrics")
+    if not isinstance(metrics, dict):
+        return fail(f"{path}: no metrics object")
+    units = {m["name"]: m["unit"] for m in spec}
+    for name in sorted(set(units) - set(metrics)):
+        ok = fail(f"{path}: missing metric '{name}'")
+    for name in sorted(set(metrics) - set(units)):
+        ok = fail(f"{path}: unknown metric '{name}' (set is closed)")
+    for name in sorted(set(units) & set(metrics)):
+        m = metrics[name]
+        if not isinstance(m, dict) or not is_number(m.get("value")):
+            ok = fail(f"{path}: metric '{name}' has no numeric value")
+        elif m.get("unit") != units[name]:
+            ok = fail(f"{path}: metric '{name}' unit {m.get('unit')!r} "
+                      f"!= {units[name]!r}")
     return ok
 
 
-def compare(scenario, base, cand, threshold):
+def compare(workload, spec, base, cand, threshold, show=True):
     ok = True
-    if base["config_fingerprint"] != cand["config_fingerprint"]:
-        return fail(
-            f"{scenario}: config fingerprint mismatch "
-            f"({base['config_fingerprint']} vs "
-            f"{cand['config_fingerprint']}) -- refusing to compare "
-            "different workloads"
-        )
-
-    ratio = cand["ops_per_sec"] / base["ops_per_sec"]
-    print(
-        f"bench_compare: {scenario:<10} ops/s "
-        f"{base['ops_per_sec']:14.0f} -> {cand['ops_per_sec']:14.0f} "
-        f"({ratio:6.2%})"
-    )
-    if ratio < threshold:
-        ok = fail(
-            f"{scenario}: throughput regressed to {ratio:.2%} of "
-            f"baseline (floor {threshold:.2%})"
-        )
-
-    if base["p99_ns"] > 0:
-        allowed = base["p99_ns"] / threshold
-        if cand["p99_ns"] > allowed:
-            ok = fail(
-                f"{scenario}: p99 regressed {base['p99_ns']} -> "
-                f"{cand['p99_ns']} ns (ceiling {allowed:.0f})"
-            )
-
-    if base["accesses_per_op"] > 0 and cand["accesses_per_op"] > 0:
-        ceiling = base["accesses_per_op"] * ACCESS_SLACK
-        if cand["accesses_per_op"] > ceiling:
-            ok = fail(
-                f"{scenario}: accesses/op regressed "
-                f"{base['accesses_per_op']:.2f} -> "
-                f"{cand['accesses_per_op']:.2f} "
-                f"(ceiling {ceiling:.2f})"
-            )
+    for m in spec:
+        name = m["name"]
+        b = base["metrics"][name]["value"]
+        c = cand["metrics"][name]["value"]
+        if m["better"] == "higher":
+            limit = b * threshold
+            bad = c < limit
+        else:
+            limit = b / threshold
+            bad = c > limit
+        if show:
+            print(f"bench_compare: {workload:<10} {name:<14} "
+                  f"{b:14.6g} -> {c:14.6g} (limit {limit:.6g})")
+        if bad:
+            ok = fail(f"{workload}: {name} {c:.6g} past its limit "
+                      f"{limit:.6g} (baseline {b:.6g}, "
+                      f"better {m['better']})")
     return ok
 
 
-def self_test():
-    """Embedded unit tests for the schema/compare rules.  @return 0/1."""
+def self_test(spec):
+    """Embedded unit tests for the validation/compare rules.  @return 0/1."""
     import copy
 
     base_doc = {
-        "schema": SCHEMA,
-        "scenario": "concurrent",
-        "commit": "deadbeef",
-        "config_fingerprint": "14da8d1c",
-        "quick": True,
-        "table_size": 5000,
-        "ops": 400000,
-        "threads": 3,
-        "ops_per_sec": 1_000_000.0,
-        "p50_ns": 1000,
-        "p95_ns": 2000,
-        "p99_ns": 4000,
-        "accesses_per_op": 0,
+        "correct": True,
+        "attempted": 1000,
+        "failed": 0,
+        "metrics": {m["name"]: {"value": 100.0, "unit": m["unit"]}
+                    for m in spec},
     }
-    threshold = 0.75
+    threshold = 0.40
+    better = {m["name"]: m["better"] for m in spec}
+    lower = next(n for n, b in better.items() if b == "lower")
 
     failures = []
 
@@ -166,59 +124,55 @@ def self_test():
         if got != want:
             failures.append(name)
 
-    doc = copy.deepcopy(base_doc)
-    check("valid doc validates", validate(doc, "t"), True)
+    def doc_with(**values):
+        doc = copy.deepcopy(base_doc)
+        for name, value in values.items():
+            doc["metrics"][name]["value"] = value
+        return doc
+
+    def gate(doc):
+        return validate(doc, spec, "t") and compare(
+            "t", spec, base_doc, doc, threshold, show=False)
+
+    check("valid doc validates", validate(base_doc, spec, "t"), True)
+    check("identical docs compare clean", gate(copy.deepcopy(base_doc)),
+          True)
 
     doc = copy.deepcopy(base_doc)
-    doc["brand_new_scalar"] = 7
-    check("extra top-level field rejected", validate(doc, "t"), False)
+    doc["metrics"]["brand_new_metric"] = {"value": 1.0, "unit": "count"}
+    check("extra metric rejected", validate(doc, spec, "t"), False)
 
     doc = copy.deepcopy(base_doc)
-    doc["replication"] = {"records_shipped": 1200, "lag_records": 3}
-    check("old-style replication family rejected",
-          validate(doc, "t"), False)
+    del doc["metrics"]["lookups_per_s"]
+    check("missing metric rejected", validate(doc, spec, "t"), False)
 
     doc = copy.deepcopy(base_doc)
-    del doc["p99_ns"]
-    check("missing required field rejected", validate(doc, "t"), False)
+    doc["metrics"]["lookups_per_s"]["unit"] = "ops/s"
+    check("unit drift rejected", validate(doc, spec, "t"), False)
+
+    doc = doc_with(lookups_per_s=True)
+    check("bool-as-number rejected", validate(doc, spec, "t"), False)
 
     doc = copy.deepcopy(base_doc)
-    doc["ops"] = True
-    check("bool-as-int rejected", validate(doc, "t"), False)
+    doc["correct"] = False
+    check("correct: false rejected", validate(doc, spec, "t"), False)
 
     doc = copy.deepcopy(base_doc)
-    doc["ops_per_sec"] = 0
-    check("zero throughput rejected", validate(doc, "t"), False)
+    doc["failed"] = 3
+    check("failed > 0 rejected", validate(doc, spec, "t"), False)
 
-    good = copy.deepcopy(base_doc)
-    check("identical docs compare clean",
-          compare("t", base_doc, good, threshold), True)
+    check("lower metric at its ceiling accepted",
+          gate(doc_with(**{lower: 100.0 / threshold})), True)
+    check("lower metric above its ceiling caught",
+          gate(doc_with(**{lower: 100.0 / threshold * 1.01})), False)
+    check("lookup_p99_us 10x caught",
+          gate(doc_with(lookup_p99_us=1000.0)), False)
 
-    slow = copy.deepcopy(base_doc)
-    slow["ops_per_sec"] = base_doc["ops_per_sec"] * 0.5
-    check("throughput below floor caught",
-          compare("t", base_doc, slow, threshold), False)
-
-    lat = copy.deepcopy(base_doc)
-    lat["p99_ns"] = base_doc["p99_ns"] * 10
-    check("p99 above ceiling caught",
-          compare("t", base_doc, lat, threshold), False)
-
-    other = copy.deepcopy(base_doc)
-    other["config_fingerprint"] = "ffffffff"
-    check("fingerprint mismatch refused",
-          compare("t", base_doc, other, threshold), False)
-
-    traced = copy.deepcopy(base_doc)
-    traced["accesses_per_op"] = 4.0
-    within = copy.deepcopy(traced)
-    within["accesses_per_op"] = 4.0 * 1.04
-    check("accesses/op within slack accepted",
-          compare("t", traced, within, threshold), True)
-    past = copy.deepcopy(traced)
-    past["accesses_per_op"] = 4.0 * 1.06
-    check("accesses/op past slack caught",
-          compare("t", traced, past, threshold), False)
+    for name in ("lookups_per_s", "updates_per_s"):
+        check(f"{name} at its floor accepted",
+              gate(doc_with(**{name: 100.0 * threshold})), True)
+        check(f"{name} 10x collapse caught",
+              gate(doc_with(**{name: 10.0})), False)
 
     if failures:
         print(f"bench_compare: self-test FAILED: {failures}")
@@ -237,13 +191,13 @@ def main():
     ap.add_argument(
         "--threshold",
         type=float,
-        default=0.75,
-        help="minimum allowed candidate/baseline throughput ratio",
+        default=0.40,
+        help="allowed fraction of a baseline (default 0.40)",
     )
     ap.add_argument(
         "--validate-only",
         action="store_true",
-        help="schema-check the candidate documents, no comparison",
+        help="check the candidate documents, no comparison",
     )
     ap.add_argument(
         "--self-test",
@@ -252,28 +206,32 @@ def main():
     )
     args = ap.parse_args()
 
+    benchmark = load(BENCHMARK)
+    if benchmark is None:
+        return 1
+    spec = benchmark["end_to_end"]
     if args.self_test:
-        return self_test()
+        return self_test(spec)
     if not args.candidate:
         ap.error("--candidate is required unless --self-test")
     if not args.validate_only and not args.baseline:
         ap.error("--baseline is required unless --validate-only")
 
     ok = True
-    for scenario in SCENARIOS:
-        name = f"BENCH_{scenario}.json"
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        name = f"{workload}.json"
         cand = load(os.path.join(args.candidate, name))
-        if cand is None or not validate(cand, name):
+        if cand is None or not validate(cand, spec, name):
             ok = False
             continue
         if args.validate_only:
-            print(f"bench_compare: {name}: schema OK")
+            print(f"bench_compare: {name}: valid")
             continue
         base = load(os.path.join(args.baseline, name))
-        if base is None or not validate(base, f"baseline/{name}"):
+        if base is None or not validate(base, spec, f"baseline/{name}"):
             ok = False
             continue
-        if not compare(scenario, base, cand, args.threshold):
+        if not compare(workload, spec, base, cand, args.threshold):
             ok = False
 
     if ok:
