@@ -133,10 +133,6 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     inj.arm(fault::FaultPoint::TcamOverflow, 0.1, 20);
 
     ConcurrentOptions copts;
-    copts.controlThread = true;
-    copts.updateQueueCapacity = 512;
-    copts.admission.enabled = true;
-    copts.healthMonitor = true;
     copts.healthInterval = std::chrono::milliseconds(2);
     copts.health.resizeAfter = 2;
     copts.gcInterval = std::chrono::milliseconds(5);
@@ -232,32 +228,36 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
                 static_cast<unsigned long long>(o.limitMs));
 
     uint64_t t0 = monotonicNowNs();
-    uint64_t posted = 0;
-    for (;;) {
-        uint64_t elapsed_ms = (monotonicNowNs() - t0) / 1000000;
-        if ((engine.resizes() >= o.minResizes &&
-             engine.expired() > 0) ||
-            elapsed_ms > o.limitMs)
-            break;
-        Update u = gen.next();
-        if (probeSet.count(u.prefix))
-            continue;   // Never let the storm touch a canary.
-        engine.post(u);
-        ++posted;
-        if (posted % 64 == 0) {
-            engine.advanceTtlClock(25);
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    uint64_t sent = 0;
+    // Faults arm on this thread's applies as well as on the control
+    // thread's GC and health actions.
+    {
+        fault::ScopedInjector stormFaults(&inj);
+        for (;;) {
+            uint64_t elapsed_ms = (monotonicNowNs() - t0) / 1000000;
+            if ((engine.resizes() >= o.minResizes &&
+                 engine.expired() > 0) ||
+                elapsed_ms > o.limitMs)
+                break;
+            Update u = gen.next();
+            if (probeSet.count(u.prefix))
+                continue;   // Never let the storm touch a canary.
+            engine.apply(u);
+            ++sent;
+            if (sent % 64 == 0) {
+                engine.advanceTtlClock(25);
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            if (sent % 8192 == 0)
+                std::printf("  ... %llu sent, %llu resizes, %llu expired, "
+                            "%zu routes (%llu ms)\n",
+                            static_cast<unsigned long long>(sent),
+                            static_cast<unsigned long long>(engine.resizes()),
+                            static_cast<unsigned long long>(engine.expired()),
+                            engine.routeCount(),
+                            static_cast<unsigned long long>(elapsed_ms));
         }
-        if (posted % 8192 == 0)
-            std::printf("  ... %llu posted, %llu resizes, %llu expired, "
-                        "%zu routes (%llu ms)\n",
-                        static_cast<unsigned long long>(posted),
-                        static_cast<unsigned long long>(engine.resizes()),
-                        static_cast<unsigned long long>(engine.expired()),
-                        engine.routeCount(),
-                        static_cast<unsigned long long>(elapsed_ms));
     }
-    engine.flush();
     // Settle: with the logical clock now frozen, collect every
     // already-due entry so the journal holds the complete Expire
     // history before the audit reads it.
@@ -269,9 +269,9 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         r.join();
     journal.sync();
 
-    std::printf("storm: %llu posted in %.0f ms; %llu resizes, %llu "
+    std::printf("storm: %llu sent in %.0f ms; %llu resizes, %llu "
                 "expired, %llu slow-path drained, %zu routes live\n",
-                static_cast<unsigned long long>(posted), duration_ms,
+                static_cast<unsigned long long>(sent), duration_ms,
                 static_cast<unsigned long long>(engine.resizes()),
                 static_cast<unsigned long long>(engine.expired()),
                 static_cast<unsigned long long>(
@@ -348,7 +348,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.beginObject();
         w.member("schema", "chisel.churn.v1");
         w.member("duration_ms", duration_ms);
-        w.member("updates_posted", posted);
+        w.member("updates_posted", sent);
         w.member("updates_applied", engine.updatesApplied());
         w.member("resizes", engine.resizes());
         w.member("resize_marks", resizeMarks);

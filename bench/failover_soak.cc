@@ -4,8 +4,7 @@
  * replication stack (docs/replication.md).
  *
  * The driver re-execs itself as a --role=leader child.  The leader
- * runs an admission-controlled flap storm with engine fault points
- * armed, journaling every update through a ReplicationLog that ships
+ * runs a flap storm with engine fault points armed, journaling every update through a ReplicationLog that ships
  * to the driver's follower over loopback TCP.  The follower joins
  * late on purpose, so it bootstraps from a shipped snapshot before
  * tailing records.  Mid-storm the driver SIGKILLs the leader,
@@ -94,8 +93,9 @@ soakStorm(const RoutingTable &table, const SoakOptions &o)
 
 /**
  * Snapshot requests cross from the shipper thread to the storm loop:
- * with admission control only the producer thread may flush(), so the
- * provider parks here and the loop services it between posts.
+ * the loop journals and then applies each update, so only between two
+ * updates does the engine cover exactly the last journaled seq.  The
+ * provider parks here and the loop services it between applies.
  */
 struct SnapshotBridge
 {
@@ -126,10 +126,6 @@ leaderMain(const SoakOptions &o)
     inj.arm(fault::FaultPoint::BitFlipResult, 0.005, 5);
 
     ConcurrentOptions copts;
-    copts.controlThread = true;
-    copts.updateQueueCapacity = 256;
-    copts.admission.enabled = true;
-    copts.healthMonitor = true;
     copts.healthInterval = std::chrono::milliseconds(2);
     copts.controlFaultInjector = &inj;
     ConcurrentChisel engine(table, config, copts);
@@ -164,9 +160,12 @@ leaderMain(const SoakOptions &o)
                 static_cast<unsigned long long>(o.port));
 
     // The storm cycles until the driver kills us.  Every update is
-    // durably journaled BEFORE it is posted; an append the journal
+    // durably journaled BEFORE it is applied; an append the journal
     // refuses stops the run (a leader that cannot log must stop
-    // acknowledging, and here acknowledging IS posting).
+    // acknowledging, and here acknowledging IS applying).  Faults arm
+    // on this thread's applies as well as on the control thread's
+    // health actions.
+    fault::ScopedInjector stormFaults(&inj);
     for (size_t i = 0;; ++i) {
         const Update &u = storm[i % storm.size()];
         uint64_t seq = rlog.append(u);
@@ -178,7 +177,7 @@ leaderMain(const SoakOptions &o)
             return 3;
         }
         lastAppended.store(seq, std::memory_order_release);
-        engine.post(u);
+        engine.apply(u);
 
         bool wanted;
         {
@@ -186,7 +185,8 @@ leaderMain(const SoakOptions &o)
             wanted = bridge.requested && !bridge.ready;
         }
         if (wanted) {
-            engine.flush();  // Producer thread: stage + queue drain.
+            // Imaging stays outside the storm's injector.
+            fault::ScopedInjector clean(nullptr);
             uint64_t covered =
                 lastAppended.load(std::memory_order_acquire);
             engine.scrubNow();
@@ -239,9 +239,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         return 1;
     }
 
-    ConcurrentOptions fopts;
-    fopts.controlThread = false;
-    ConcurrentChisel standby(table, config, fopts);
+    ConcurrentChisel standby(table, config);
 
     replica::FollowerOptions fo;
     fo.heartbeatTimeoutMs = 250;

@@ -117,11 +117,8 @@ planeOptions(const SoakOptions &o)
     p.shards = o.shards;
     p.partitionBits = static_cast<unsigned>(o.partitionBits);
     p.persistDir = o.dir;
-    p.engine.controlThread = true;
-    p.engine.healthMonitor = true;
     p.engine.healthInterval = std::chrono::milliseconds(5);
     p.engine.scrubInterval = std::chrono::milliseconds(25);
-    p.engine.updateQueueCapacity = 512;
     return p;
 }
 
@@ -402,7 +399,6 @@ runShedDemo(const SoakOptions &o)
     ShardedOptions popts;
     popts.shards = o.shards;
     popts.partitionBits = static_cast<unsigned>(o.partitionBits);
-    popts.engine.controlThread = false;
     ShardedChisel plane(table, popts);
 
     net::ChiselService service(plane, {});
@@ -477,7 +473,6 @@ runContainmentDemo(const SoakOptions &o)
     ShardedOptions popts;
     popts.shards = o.shards;
     popts.partitionBits = static_cast<unsigned>(o.partitionBits);
-    popts.engine.controlThread = false;
     ShardedChisel plane(generateScaledTable(2000, 32, o.seed), popts);
 
     net::ChiselService service(plane, {});
@@ -570,8 +565,6 @@ runDetectRecover(const SoakOptions &o)
     ShardedOptions popts;
     popts.shards = o.shards;
     popts.partitionBits = static_cast<unsigned>(o.partitionBits);
-    popts.engine.controlThread = false;
-    popts.engine.healthMonitor = true;
     ShardedChisel plane(generateScaledTable(1000, 32, o.seed + 1),
                         popts);
 
@@ -895,8 +888,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 
     // ---- Audit: recovered shards == per-shard journal truth ---------
     ShardedOptions apopts = planeOptions(o);
-    apopts.engine.controlThread = false;
-    apopts.engine.healthMonitor = false;
+    apopts.engine.healthInterval = {};
     apopts.engine.scrubInterval = {};
     apopts.audit = true;
     ShardedChisel recovered(RoutingTable{}, apopts);

@@ -13,13 +13,8 @@ namespace chisel::concurrent {
 ConcurrentChisel::ConcurrentChisel(const RoutingTable &initial,
                                    const ChiselConfig &config,
                                    const ConcurrentOptions &options)
-    : config_(config), options_(options),
-      queue_(options.updateQueueCapacity),
-      admission_(options.admission, queue_.capacity()),
-      monitor_(options.health)
+    : config_(config), options_(options), monitor_(options.health)
 {
-    if (options_.scrubInterval.count() > 0 && !options_.controlThread)
-        fatalError("ConcurrentChisel: scrubInterval needs controlThread");
     ttlEpoch_ = std::chrono::steady_clock::now();
     // Both images are built from the same table with the same config
     // and seed, so they are identical by construction; the update
@@ -28,15 +23,21 @@ ConcurrentChisel::ConcurrentChisel(const RoutingTable &initial,
     images_[1].engine = std::make_unique<ChiselEngine>(initial, config);
     live_.store(&images_[0], std::memory_order_release);
 
-    if (options_.controlThread)
-        controlThread_ = std::thread([this] { controlLoop(); });
+    if (options_.healthInterval.count() > 0 ||
+        options_.gcInterval.count() > 0 ||
+        options_.scrubInterval.count() > 0)
+        control_ = std::thread([this] { controlLoop(); });
 }
 
 ConcurrentChisel::~ConcurrentChisel()
 {
-    stop_.store(true, std::memory_order_release);
-    if (controlThread_.joinable())
-        controlThread_.join();
+    {
+        std::lock_guard<std::mutex> lock(controlMutex_);
+        stop_ = true;
+    }
+    controlWake_.notify_all();
+    if (control_.joinable())
+        control_.join();
 }
 
 // ---- Read side -------------------------------------------------------------
@@ -108,7 +109,7 @@ ConcurrentChisel::applyLocked(const Update &update)
 
     // Journal first, under the same lock that orders applies: the
     // journal stream and the image mutations agree on order by
-    // construction, for posted updates and GC Expires alike.  A
+    // construction, for applied updates and GC Expires alike.  A
     // refused append (seq 0) rejects the update outright — state must
     // never run ahead of its durability record.
     uint64_t seq = 0;
@@ -172,129 +173,59 @@ ConcurrentChisel::apply(const Update &update)
     return applyLocked(update);
 }
 
-// ---- Queued update path ----------------------------------------------------
-
-bool
-ConcurrentChisel::post(const Update &update)
-{
-    if (!options_.controlThread)
-        return false;
-
-    if (!admission_.enabled()) {
-        if (!queue_.push(update))
-            return false;
-        posted_.fetch_add(1, std::memory_order_release);
-        return true;
-    }
-
-    switch (admission_.offer(update, queue_.size())) {
-      case health::AdmissionDecision::Enqueue:
-        if (queue_.push(update))
-            posted_.fetch_add(1, std::memory_order_release);
-        else
-            admission_.stage(update);   // Raced to full: park it.
-        break;
-      case health::AdmissionDecision::Deferred:
-      case health::AdmissionDecision::Coalesced:
-        break;
-    }
-    pumpStaged(false);
-    return true;   // Admission never drops: queued or staged.
-}
-
-void
-ConcurrentChisel::pumpStaged(bool force)
-{
-    size_t depth = queue_.size();
-    size_t cap = queue_.capacity();
-    size_t room = depth < cap ? cap - depth : 0;
-    for (const Update &u : admission_.drain(depth, room, force)) {
-        if (queue_.push(u))
-            posted_.fetch_add(1, std::memory_order_release);
-        else
-            admission_.stage(u);   // Queue refilled under us: re-park.
-    }
-}
-
-size_t
-ConcurrentChisel::pendingUpdates() const
-{
-    uint64_t posted = posted_.load(std::memory_order_acquire);
-    uint64_t drained = drained_.load(std::memory_order_acquire);
-    return static_cast<size_t>(posted - drained);
-}
-
-void
-ConcurrentChisel::flush()
-{
-    // Force the stage out first; the queue may not have room for all
-    // of it at once, so alternate pumping with waiting for the drain.
-    while (admission_.stagedCount() > 0) {
-        pumpStaged(true);
-        uint64_t target = posted_.load(std::memory_order_acquire);
-        while (drained_.load(std::memory_order_acquire) < target)
-            std::this_thread::yield();
-    }
-    uint64_t target = posted_.load(std::memory_order_acquire);
-    while (drained_.load(std::memory_order_acquire) < target)
-        std::this_thread::yield();
-}
+// ---- Control thread --------------------------------------------------------
 
 void
 ConcurrentChisel::controlLoop()
 {
-    // Chaos runs arm faults on the queued apply path only: the
-    // injector lives in this thread's slot, readers stay clean.
+    // Chaos runs arm faults on the periodic GC and health actions
+    // only: the injector lives in this thread's slot, readers stay
+    // clean.
     std::optional<fault::ScopedInjector> inject;
     if (options_.controlFaultInjector != nullptr)
         inject.emplace(options_.controlFaultInjector);
 
-    auto next_health =
-        std::chrono::steady_clock::now() + options_.healthInterval;
-    auto next_gc =
-        std::chrono::steady_clock::now() + options_.gcInterval;
-    auto next_scrub =
-        std::chrono::steady_clock::now() + options_.scrubInterval;
+    using Clock = std::chrono::steady_clock;
+    struct Duty
+    {
+        std::chrono::milliseconds interval;
+        Clock::time_point next;
+        std::function<void()> run;
+    };
+    const Clock::time_point start = Clock::now();
+    Duty duties[] = {
+        {options_.healthInterval, start + options_.healthInterval,
+         [this] { healthTick(); }},
+        {options_.gcInterval, start + options_.gcInterval,
+         [this] { gcTick(); }},
+        {options_.scrubInterval, start + options_.scrubInterval,
+         [this] {
+             // Scrub passes stay outside the chaos injector.
+             fault::ScopedInjector clean(nullptr);
+             scrubNow();
+         }},
+    };
 
+    std::unique_lock<std::mutex> lock(controlMutex_);
     for (;;) {
-        std::optional<Update> update = queue_.pop();
-        if (!update) {
-            if (stop_.load(std::memory_order_acquire) && queue_.empty())
-                return;
-            // Idle: updates are bursty (BGP storms), so sleep rather
-            // than burn a core between bursts.
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        } else {
-            {
-                std::lock_guard<std::mutex> lock(writerMutex_);
-                applyLocked(*update);
-            }
-            drained_.fetch_add(1, std::memory_order_release);
-        }
+        // The thread exists only when some interval is nonzero, so
+        // the earliest deadline is always a real one.
+        Clock::time_point wake = Clock::time_point::max();
+        for (const Duty &d : duties)
+            if (d.interval.count() > 0 && d.next < wake)
+                wake = d.next;
+        if (controlWake_.wait_until(lock, wake, [this] { return stop_; }))
+            return;
 
-        if (options_.healthMonitor) {
-            auto now = std::chrono::steady_clock::now();
-            if (now >= next_health) {
-                healthTick();
-                next_health = now + options_.healthInterval;
+        lock.unlock();
+        for (Duty &d : duties) {
+            Clock::time_point now = Clock::now();
+            if (d.interval.count() > 0 && now >= d.next) {
+                d.run();
+                d.next = now + d.interval;
             }
         }
-        if (options_.gcInterval.count() > 0) {
-            auto now = std::chrono::steady_clock::now();
-            if (now >= next_gc) {
-                gcTick();
-                next_gc = now + options_.gcInterval;
-            }
-        }
-        if (options_.scrubInterval.count() > 0) {
-            auto now = std::chrono::steady_clock::now();
-            if (now >= next_scrub) {
-                // Scrub passes stay outside the chaos injector.
-                fault::ScopedInjector clean(nullptr);
-                scrubNow();
-                next_scrub = now + options_.scrubInterval;
-            }
-        }
+        lock.lock();
     }
 }
 
@@ -482,9 +413,6 @@ health::HealthSignals
 ConcurrentChisel::collectSignals()
 {
     health::HealthSignals sig;
-    sig.queueOccupancy =
-        double(queue_.size()) / double(queue_.capacity());
-    sig.shedEvents = admission_.counters().shedEvents.load();
     sig.watchdogExpired = monitor_.watchdogExpired();
 
     RobustnessCounters r;
@@ -505,22 +433,18 @@ ConcurrentChisel::collectSignals()
         }
     }
 
-    // Event signals are deltas since the previous sample; absolute
-    // shed count converts the same way.
-    uint64_t shed_now = sig.shedEvents;
+    // Event signals are deltas since the previous sample.
     sig.tcamOverflows = r.tcamOverflows - baseline_.tcamOverflows;
     sig.setupRetries = r.setupRetries - baseline_.setupRetries;
     sig.parityRecoveries =
         r.parityRecoveries - baseline_.parityRecoveries;
     sig.slowPathRejected =
         r.slowPathRejected - baseline_.slowPathRejected;
-    sig.shedEvents = shed_now - baseline_.shedEvents;
 
     baseline_.tcamOverflows = r.tcamOverflows;
     baseline_.setupRetries = r.setupRetries;
     baseline_.parityRecoveries = r.parityRecoveries;
     baseline_.slowPathRejected = r.slowPathRejected;
-    baseline_.shedEvents = shed_now;
     return sig;
 }
 

@@ -26,12 +26,13 @@
  * version that served it — the stress tests validate every tagged
  * result against a trie oracle replayed to that generation.
  *
- * A bounded SPSC queue decouples the update producer (one BGP session
- * feed) from the apply path: post() never blocks, and an internal
- * control thread drains the queue in order.  The same thread runs
- * periodic scrub passes over the idle image's parity words on a
- * configurable cadence, recovering by resetup off the reader critical
- * path.
+ * Every update enters through apply() (or announce()/withdraw()) on
+ * the caller's thread, as the paper's control processor applies each
+ * update in turn (§4.4).  The periodic duties — health sampling, TTL
+ * garbage collection and parity scrubbing — run on a control thread
+ * that exists only when one of their intervals is nonzero.  It sleeps
+ * until the earliest deadline and is woken by the destructor; it
+ * never polls.
  */
 
 #ifndef CHISEL_CONCURRENT_CONCURRENT_ENGINE_HH
@@ -39,6 +40,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -48,9 +50,7 @@
 #include <vector>
 
 #include "concurrent/epoch.hh"
-#include "concurrent/spsc_queue.hh"
 #include "core/engine.hh"
-#include "health/admission.hh"
 #include "health/monitor.hh"
 #include "route/updates.hh"
 
@@ -70,45 +70,23 @@ struct TaggedLookup
 /** Construction options for ConcurrentChisel. */
 struct ConcurrentOptions
 {
-    /** Capacity of the post() update queue (rounded up to 2^n). */
-    size_t updateQueueCapacity = 1024;
-
-    /**
-     * Start the control thread that drains post()ed updates.  Off,
-     * post() is unavailable and updates go through announce()/
-     * withdraw()/apply() directly.
-     */
-    bool controlThread = true;
-
     /**
      * Scrub cadence of the control thread; zero disables periodic
-     * scrubbing, and a nonzero cadence requires controlThread (the
-     * constructor throws ChiselError otherwise).  Each pass verifies
-     * every parity word of both images and recovers corrupted cells
-     * by resetup (docs/concurrency.md).
+     * scrubbing.  Each pass verifies every parity word of both images
+     * and recovers corrupted cells by resetup (docs/concurrency.md).
      */
     std::chrono::milliseconds scrubInterval{0};
-
-    /**
-     * Producer-side admission control on post(): token buckets per
-     * update class plus watermark-triggered coalescing shed
-     * (docs/robustness.md).  Disabled, post() keeps its original
-     * fail-on-full contract.
-     */
-    health::AdmissionOptions admission;
-
-    /**
-     * Run the health-state machine inside the control thread: sample
-     * signals every healthInterval and execute the recommended
-     * recovery actions automatically.  Requires controlThread.
-     */
-    bool healthMonitor = false;
 
     /** Health thresholds and hysteresis depths. */
     health::MonitorConfig health;
 
-    /** Health sampling cadence (when healthMonitor is on). */
-    std::chrono::milliseconds healthInterval{50};
+    /**
+     * Health-state machine cadence of the control thread: sample
+     * signals every healthInterval and execute the recommended
+     * recovery actions automatically.  Zero disables the periodic
+     * monitor (healthTick() remains callable directly).
+     */
+    std::chrono::milliseconds healthInterval{0};
 
     /**
      * Known-good snapshot backing the SnapshotRestore ladder rung;
@@ -119,8 +97,8 @@ struct ConcurrentOptions
 
     /**
      * When non-null, installed thread-locally in the control thread,
-     * so chaos tests inject faults into the queued apply path without
-     * arming the reader threads.
+     * so chaos tests inject faults into the periodic GC and health
+     * actions without arming the reader threads.
      */
     fault::FaultInjector *controlFaultInjector = nullptr;
 
@@ -145,7 +123,7 @@ struct ConcurrentOptions
 
     /**
      * Journal hooks, called INSIDE the writer lock in apply order, so
-     * the journal sees posted updates and GC-generated Expires in
+     * the journal sees applied updates and GC-generated Expires in
      * exactly the order the images did — there is no window where an
      * update is applied but a concurrent resize journals first.
      *
@@ -166,8 +144,7 @@ struct ConcurrentOptions
  * Thread-safe facade over a pair of lockstep ChiselEngine images.
  *
  * Thread roles: any number of lookup threads; any number of threads
- * may call the update entry points (serialized on an internal mutex);
- * at most ONE thread may call post() (SPSC producer contract).
+ * may call the update entry points (serialized on an internal mutex).
  */
 class ConcurrentChisel
 {
@@ -176,7 +153,7 @@ class ConcurrentChisel
                               const ChiselConfig &config = {},
                               const ConcurrentOptions &options = {});
 
-    /** Joins the control thread; pending posts drain. */
+    /** Wakes and joins the control thread, if one runs. */
     ~ConcurrentChisel();
 
     ConcurrentChisel(const ConcurrentChisel &) = delete;
@@ -208,38 +185,6 @@ class ConcurrentChisel
 
     /** Apply one trace update. */
     UpdateOutcome apply(const Update &update);
-
-    // ---- Queued update path (single producer thread) ---------------
-
-    /**
-     * Enqueue an update for the control thread; false if the queue
-     * is full (back-pressure) or the control thread is disabled.
-     * With admission control enabled the call never fails: an update
-     * that cannot be queued is staged (coalescing per prefix) and
-     * flushed when the queue drains below the low watermark.
-     */
-    bool post(const Update &update);
-
-    /** Updates posted but not yet applied (excludes the stage). */
-    size_t pendingUpdates() const;
-
-    /**
-     * Block until every posted AND staged update has been applied.
-     * With admission enabled, must be called by the producer thread.
-     */
-    void flush();
-
-    /** Updates parked in the admission stage (producer thread only). */
-    size_t stagedUpdates() const { return admission_.stagedCount(); }
-
-    /** True while admission shed mode is latched (producer thread). */
-    bool shedding() const { return admission_.shedding(); }
-
-    /** Shed/coalesce statistics (producer thread only). */
-    const health::AdmissionCounters &admissionCounters() const
-    {
-        return admission_.counters();
-    }
 
     // ---- Scrubbing -------------------------------------------------
 
@@ -274,7 +219,7 @@ class ConcurrentChisel
     /**
      * Sample signals, step the state machine, and execute at most one
      * recovery action.  Runs periodically on the control thread when
-     * options.healthMonitor is set; also callable directly (tests,
+     * options.healthInterval > 0; also callable directly (tests,
      * chaos harness).  @return the state after the sample.
      */
     health::HealthState healthTick();
@@ -429,9 +374,6 @@ class ConcurrentChisel
     /** Scrub the idle image once; caller holds writerMutex_. */
     void scrubIdleLocked(ScrubReport &report);
 
-    /** Move staged updates into the queue as room allows. */
-    void pumpStaged(bool force);
-
     /** Gather one HealthSignals sample (takes writerMutex_). */
     health::HealthSignals collectSignals();
 
@@ -444,6 +386,7 @@ class ConcurrentChisel
     /** resizeNow/resizeTo body; caller holds writerMutex_. */
     bool resizeLocked(const ChiselConfig &grown);
 
+    /** Run each periodic duty when due; sleep until the next. */
     void controlLoop();
 
     ChiselConfig config_;
@@ -470,15 +413,6 @@ class ConcurrentChisel
     /** Manual TTL clock in ms (ttlWallClock == false). */
     std::atomic<uint64_t> ttlManualMs_{0};
 
-    SpscQueue<Update> queue_;
-    std::atomic<uint64_t> posted_{0};
-    std::atomic<uint64_t> drained_{0};
-    std::atomic<bool> stop_{false};
-    std::thread controlThread_;
-
-    /** Producer-side admission filter (single producer thread). */
-    health::AdmissionController admission_;
-
     health::HealthMonitor monitor_;
 
     /** Serializes healthTick() callers (control thread + tests). */
@@ -491,8 +425,15 @@ class ConcurrentChisel
         uint64_t setupRetries = 0;
         uint64_t parityRecoveries = 0;
         uint64_t slowPathRejected = 0;
-        uint64_t shedEvents = 0;
     } baseline_;
+
+    /** Guards stop_; the control thread waits on controlWake_. */
+    std::mutex controlMutex_;
+    std::condition_variable controlWake_;
+    bool stop_ = false;
+
+    /** Declared last: it runs duties that use every member above. */
+    std::thread control_;
 };
 
 } // namespace chisel::concurrent

@@ -1,43 +1,26 @@
 /**
  * @file
- * Admission control for the concurrent update queue.
+ * Update admission for the RPC front end: fail-fast token buckets.
  *
- * ConcurrentChisel's SPSC queue decouples the BGP feed from the apply
- * path, but a feed in storm mode can outrun the control thread
- * indefinitely: post() starts failing, and the producer's only
- * options are to block or to drop — both wrong for a routing table.
+ * ChiselService (src/net/server.hh) answers every update request
+ * synchronously, so it cannot park an update it has already promised
+ * a reply for.  AdmissionController meters updates through one token
+ * bucket per class (announces and withdraws refill independently);
+ * an update whose class is out of tokens is refused on the spot and
+ * the client receives Overloaded with a retry-after hint.  Health-
+ * state shedding is the service's other overload policy; the buckets
+ * additionally meter updates while the plane is Healthy
+ * (docs/robustness.md).
  *
- * AdmissionController gives the producer a third option: *coalesce*.
- * Updates are filtered through per-class token buckets (announces and
- * withdraws meter independently) and a high/low-watermark check on
- * the queue depth.  An update that cannot be admitted is parked in a
- * staging buffer keyed by prefix; a newer update for the same prefix
- * REPLACES the staged one (last-writer-wins — an announce/withdraw
- * pair collapses to the withdraw, a superseded next-hop change
- * vanishes).  When the queue drains below the low watermark the
- * staged survivors flush out in arrival order.
- *
- * The policy is semantics-preserving by construction: per prefix, the
- * final routing state depends only on the last update, and that is
- * exactly the update the stage retains.  Nothing is ever silently
- * dropped — shedding only removes updates whose effect a later update
- * already overwrote.  The chaos harness (bench/chaos_soak.cc) audits
- * this against a trie oracle.
- *
- * Single-threaded by contract: all methods are called by the one
- * SPSC producer thread (docs/concurrency.md).
+ * Single-threaded by contract: tryAdmit() is called by the one
+ * serving thread.
  */
 
 #ifndef CHISEL_HEALTH_ADMISSION_HH
 #define CHISEL_HEALTH_ADMISSION_HH
 
 #include <chrono>
-#include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <vector>
 
-#include "concurrent/relaxed.hh"
 #include "route/updates.hh"
 
 namespace chisel::health {
@@ -45,20 +28,8 @@ namespace chisel::health {
 /** Admission-control knobs (all deterministic except token refill). */
 struct AdmissionOptions
 {
-    /** Master switch; disabled, offer() admits everything. */
+    /** Master switch; disabled, tryAdmit() admits everything. */
     bool enabled = false;
-
-    /**
-     * Queue depth at which shedding (stage instead of enqueue)
-     * begins; 0 derives 3/4 of the queue capacity.
-     */
-    size_t highWatermark = 0;
-
-    /**
-     * Queue depth at which staged updates flush back out and direct
-     * enqueueing resumes; 0 derives 1/4 of the queue capacity.
-     */
-    size_t lowWatermark = 0;
 
     /**
      * Token-bucket rates per update class, in updates/second; 0
@@ -72,92 +43,19 @@ struct AdmissionOptions
     double tokenBurst = 256.0;
 };
 
-/** What offer() decided for one update. */
-enum class AdmissionDecision : uint8_t
-{
-    Enqueue,    ///< Admit now: push to the queue.
-    Deferred,   ///< Parked in the staging buffer (new prefix entry).
-    Coalesced,  ///< Replaced a staged update for the same prefix.
-};
-
-/**
- * Monotonic shed/coalesce statistics.  Relaxed atomics: written by
- * the producer thread only, but read from the health tick on the
- * control thread, so plain fields would race.
- */
-struct AdmissionCounters
-{
-    concurrent::RelaxedU64 admitted;    ///< Passed straight through.
-    concurrent::RelaxedU64 deferred;    ///< Parked in the stage.
-    concurrent::RelaxedU64 coalesced;   ///< Overwritten in place.
-    concurrent::RelaxedU64 flushed;     ///< Released to the queue.
-    concurrent::RelaxedU64 shedEvents;  ///< Entries into shed mode.
-};
-
-/**
- * The producer-side admission filter.  See file comment for policy.
- */
+/** Per-class token buckets.  See file comment for policy. */
 class AdmissionController
 {
   public:
     using Clock = std::chrono::steady_clock;
 
-    /**
-     * @param options Policy knobs.
-     * @param queue_capacity Capacity of the queue being protected
-     *        (derives default watermarks).
-     */
-    AdmissionController(const AdmissionOptions &options,
-                        size_t queue_capacity);
-
-    bool enabled() const { return options_.enabled; }
+    explicit AdmissionController(const AdmissionOptions &options);
 
     /**
-     * Decide one update.  On Enqueue the caller pushes it to the
-     * queue; on Deferred/Coalesced the controller holds it until
-     * drain().  @p queue_depth is the current queue occupancy.
-     */
-    AdmissionDecision offer(const Update &update, size_t queue_depth,
-                            Clock::time_point now = Clock::now());
-
-    /**
-     * Fail-fast admission probe for callers with no staging buffer —
-     * the RPC front end (src/net/server.hh), which must answer
-     * Overloaded *now* rather than park an update it has already
-     * promised a reply for.  Refills the buckets and takes one token
-     * for @p kind; @return false when the class is out of tokens
-     * (counted as a deferral).  Watermarks do not apply: the caller
-     * has no queue, only buckets.  Same single-caller contract as
-     * offer().
+     * Refill the buckets and take one token for @p kind; @return
+     * false when the class is out of tokens.
      */
     bool tryAdmit(UpdateKind kind, Clock::time_point now = Clock::now());
-
-    /**
-     * Park @p update unconditionally (coalescing with any staged
-     * entry for the same prefix) — the escape hatch for a push that
-     * raced the queue to full.
-     */
-    void stage(const Update &update);
-
-    /**
-     * Release staged updates, oldest first, when the queue has
-     * drained to the low watermark (or unconditionally when @p force,
-     * used by flush before an audit).  At most @p room updates are
-     * returned so the caller's pushes cannot fail.
-     */
-    std::vector<Update> drain(size_t queue_depth, size_t room,
-                              bool force);
-
-    /** Updates currently parked. */
-    size_t stagedCount() const { return order_.size(); }
-
-    /** True while the high-watermark shed mode is latched. */
-    bool shedding() const { return shedding_; }
-
-    const AdmissionCounters &counters() const { return counters_; }
-
-    size_t highWatermark() const { return high_; }
-    size_t lowWatermark() const { return low_; }
 
   private:
     /** Refill both buckets from elapsed wall time. */
@@ -167,21 +65,10 @@ class AdmissionController
     bool takeToken(UpdateKind kind);
 
     AdmissionOptions options_;
-    size_t high_ = 0;
-    size_t low_ = 0;
-    bool shedding_ = false;
 
     double tokens_[2] = {0.0, 0.0};     ///< [Announce, Withdraw].
     Clock::time_point lastRefill_{};
     bool refilled_ = false;
-
-    /** Staged updates in arrival order, with per-prefix index. */
-    std::list<Update> order_;
-    std::unordered_map<Prefix, std::list<Update>::iterator,
-                       PrefixHasher>
-        staged_;
-
-    AdmissionCounters counters_;
 };
 
 } // namespace chisel::health

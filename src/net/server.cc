@@ -47,10 +47,7 @@ acceptsWrites(health::HealthState h)
 
 ChiselService::ChiselService(shard::ShardedChisel &plane,
                              const ServiceOptions &options)
-    : plane_(plane), options_(options),
-      // The service has no queue to watermark; capacity 16 only seeds
-      // sane (unused) defaults for the tryAdmit-only controller.
-      admission_(options.admission, 16)
+    : plane_(plane), options_(options), admission_(options.admission)
 {}
 
 ChiselService::~ChiselService()

@@ -100,8 +100,8 @@ struct ServiceOptions
 
     /**
      * Update-admission metering for the RPC path (tryAdmit token
-     * buckets; watermarks are unused — the service has no queue).
-     * Disabled by default: health-state shedding alone governs.
+     * buckets).  Disabled by default: health-state shedding alone
+     * governs.
      */
     health::AdmissionOptions admission;
 

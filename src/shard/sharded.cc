@@ -306,35 +306,6 @@ ShardedChisel::withdraw(const Prefix &prefix)
     return apply(u).outcome;
 }
 
-bool
-ShardedChisel::post(const Update &update)
-{
-    size_t s = selector_.shardOf(update.prefix);
-    if (s == kBroadcast) {
-        bool ok = true;
-        for (auto &sh : shards_)
-            ok = sh->engine->post(update) && ok;
-        return ok;
-    }
-    return shards_[s]->engine->post(update);
-}
-
-void
-ShardedChisel::flush()
-{
-    for (auto &sh : shards_)
-        sh->engine->flush();
-}
-
-size_t
-ShardedChisel::pendingUpdates() const
-{
-    size_t n = 0;
-    for (const auto &sh : shards_)
-        n += sh->engine->pendingUpdates();
-    return n;
-}
-
 // ---- Per-shard access ------------------------------------------------------
 
 concurrent::ConcurrentChisel &
@@ -466,7 +437,6 @@ ShardedChisel::status(size_t i) const
     st.serving = !isSick(st.state);
     st.generation = sh.engine->generation();
     st.routes = sh.engine->routeCount();
-    st.pendingUpdates = sh.engine->pendingUpdates();
     st.updatesApplied = sh.engine->updatesApplied();
     st.expired = sh.engine->expired();
     st.quarantineEntries = quarantineEntries(i);
@@ -597,8 +567,6 @@ ShardedChisel::publish(telemetry::MetricRegistry &registry,
                 static_cast<unsigned>(st.state)));
         registry.gauge(prefix + ".serving" + label)
             .set(st.serving ? 1 : 0);
-        registry.gauge(prefix + ".pending" + label)
-            .set(static_cast<double>(st.pendingUpdates));
         registry.gauge(prefix + ".updates_applied" + label)
             .set(static_cast<double>(st.updatesApplied));
         registry.gauge(prefix + ".quarantine_entries" + label)

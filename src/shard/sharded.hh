@@ -4,8 +4,8 @@
  * engine shards (docs/sharding.md).
  *
  * Each shard owns a full ConcurrentChisel — its own engine image
- * pair, bounded update queue, control thread, TTL/GC clock, and
- * five-state HealthMonitor — plus its own write-ahead journal and
+ * pair, control thread (when a periodic duty is set), TTL/GC clock,
+ * and five-state HealthMonitor — plus its own write-ahead journal and
  * snapshot lane under `<persistDir>/shard-<i>/`.  A stable front-end
  * hash (ShardSelector) routes every key and prefix to its shard;
  * prefixes shorter than the partition width are installed in every
@@ -16,7 +16,7 @@
  * failure streak, or watchdog trip quarantines one shard's keyspace
  * slice, and the recovery ladder (purge -> scrub -> resetup ->
  * snapshot-restore) runs on that shard's control thread without
- * pausing siblings.  lookup()/post() themselves route around
+ * pausing siblings.  lookup()/apply() themselves route around
  * nothing — shedding is a service-layer decision (ChiselService
  * consults shardHealth() per request; /healthz turns 503 only when a
  * majority of shards are sick).
@@ -116,7 +116,6 @@ struct ShardStatus
     bool serving = false;   ///< not Degraded/Quarantined.
     uint64_t generation = 0;
     size_t routes = 0;
-    size_t pendingUpdates = 0;
     uint64_t updatesApplied = 0;
     uint64_t expired = 0;
     uint64_t quarantineEntries = 0;  ///< monitor + forced.
@@ -193,20 +192,6 @@ class ShardedChisel
     UpdateOutcome announce(const Prefix &prefix, NextHop next_hop,
                            uint32_t ttl_ms = 0);
     UpdateOutcome withdraw(const Prefix &prefix);
-
-    /**
-     * Enqueue on the owning shard's control thread (every shard, if
-     * broadcast).  Single producer thread across ALL shards — the
-     * per-shard queues keep their SPSC contract because the sharded
-     * facade is the one producer.
-     */
-    bool post(const Update &update);
-
-    /** Block until every shard's queue and stage are drained. */
-    void flush();
-
-    /** Posted-but-unapplied updates, summed over shards. */
-    size_t pendingUpdates() const;
 
     // ---- Per-shard access ------------------------------------------
 

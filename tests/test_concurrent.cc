@@ -1,7 +1,7 @@
 /**
  * @file
  * Concurrency tests (docs/concurrency.md): the synchronization
- * primitives (epoch manager, SPSC queue, relaxed counters),
+ * primitives (epoch manager, relaxed counters),
  * the per-thread fault-injector streams, the thread-safe telemetry
  * and logging layers, the scrub path, and — the centerpiece — a
  * 4-reader / 1-writer stress run in which every tagged lookup is
@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -28,7 +29,6 @@
 #include "concurrent/concurrent_engine.hh"
 #include "concurrent/epoch.hh"
 #include "concurrent/relaxed.hh"
-#include "concurrent/spsc_queue.hh"
 #include "core/engine.hh"
 #include "fault/fault.hh"
 #include "route/synth.hh"
@@ -43,7 +43,6 @@ using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
 using concurrent::EpochManager;
 using concurrent::RelaxedU64;
-using concurrent::SpscQueue;
 using concurrent::TaggedLookup;
 
 unsigned
@@ -103,46 +102,6 @@ TEST(Epoch, SynchronizeIgnoresQuiescentThreads)
     mgr.synchronize();
     mgr.synchronize();
     EXPECT_GE(mgr.epoch(), 3u);
-}
-
-// ---- SpscQueue -------------------------------------------------------------
-
-TEST(SpscQueue, OrderPreservedAcrossThreads)
-{
-    SpscQueue<uint64_t> q(256);
-    constexpr uint64_t kItems = 100000;
-
-    std::thread producer([&] {
-        for (uint64_t i = 0; i < kItems; ++i) {
-            while (!q.push(i))
-                std::this_thread::yield();
-        }
-    });
-
-    uint64_t expected = 0;
-    while (expected < kItems) {
-        std::optional<uint64_t> v = q.pop();
-        if (!v) {
-            std::this_thread::yield();
-            continue;
-        }
-        ASSERT_EQ(*v, expected);
-        ++expected;
-    }
-    producer.join();
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(SpscQueue, BoundedCapacityRejectsWhenFull)
-{
-    SpscQueue<int> q(4);
-    EXPECT_EQ(q.capacity(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(q.push(i));
-    EXPECT_FALSE(q.push(99));   // Back-pressure, not growth.
-    EXPECT_EQ(q.pop().value(), 0);
-    EXPECT_TRUE(q.push(4));
-    EXPECT_EQ(q.size(), 4u);
 }
 
 // ---- Relaxed counters ------------------------------------------------------
@@ -374,18 +333,10 @@ TEST(Scrub, DetectsAndRecoversInjectedBitFlips)
 
 // ---- ConcurrentChisel basics -----------------------------------------------
 
-ConcurrentOptions
-noThreadsOptions()
-{
-    ConcurrentOptions o;
-    o.controlThread = false;
-    return o;
-}
-
 TEST(ConcurrentChisel, MatchesOracleSingleThreaded)
 {
     RoutingTable table = generateScaledTable(3000, 32, 21);
-    ConcurrentChisel c(table, {}, noThreadsOptions());
+    ConcurrentChisel c(table);
     BinaryTrie oracle(table);
 
     EXPECT_EQ(c.routeCount(), table.size());
@@ -410,35 +361,6 @@ TEST(ConcurrentChisel, MatchesOracleSingleThreaded)
     EXPECT_TRUE(c.selfCheck());
 }
 
-TEST(ConcurrentChisel, PostedUpdatesDrainInOrder)
-{
-    RoutingTable table = generateScaledTable(1000, 32, 31);
-    ConcurrentChisel c(table);
-
-    UpdateTraceGenerator gen(table, TraceProfile{}, 32, 32);
-    std::vector<Update> updates = gen.generate(500);
-    for (const Update &u : updates) {
-        while (!c.post(u))
-            std::this_thread::yield();
-    }
-    c.flush();
-    EXPECT_EQ(c.updatesApplied(), 500u);
-    EXPECT_EQ(c.pendingUpdates(), 0u);
-
-    // The queued path must land the same state as direct application.
-    ConcurrentChisel direct(table, {}, noThreadsOptions());
-    for (const Update &u : updates)
-        direct.apply(u);
-    auto keys = generateLookupKeys(table, 2000, 32, 0.7, 33);
-    for (const auto &key : keys) {
-        LookupResult a = c.lookup(key);
-        LookupResult b = direct.lookup(key);
-        ASSERT_EQ(a.found, b.found);
-        if (a.found)
-            EXPECT_EQ(a.nextHop, b.nextHop);
-    }
-}
-
 TEST(ConcurrentChisel, SnapshotRoundTripAndResetup)
 {
     namespace fs = std::filesystem;
@@ -448,7 +370,7 @@ TEST(ConcurrentChisel, SnapshotRoundTripAndResetup)
     std::string path = (dir / "engine.snap").string();
 
     RoutingTable table = generateScaledTable(1500, 32, 41);
-    ConcurrentChisel c(table, {}, noThreadsOptions());
+    ConcurrentChisel c(table);
     UpdateTraceGenerator gen(table, TraceProfile{}, 32, 42);
     for (int i = 0; i < 100; ++i)
         c.apply(gen.next());
@@ -456,7 +378,7 @@ TEST(ConcurrentChisel, SnapshotRoundTripAndResetup)
     EXPECT_GT(c.saveSnapshot(path), 0u);
 
     // Restore into a second instance; lookups must agree everywhere.
-    ConcurrentChisel restored(RoutingTable{}, {}, noThreadsOptions());
+    ConcurrentChisel restored{RoutingTable{}};
     ASSERT_TRUE(restored.restoreFromSnapshot(path));
     EXPECT_EQ(restored.routeCount(), c.routeCount());
 
@@ -502,14 +424,60 @@ TEST(ConcurrentChisel, BackgroundScrubberRuns)
     EXPECT_TRUE(c.selfCheck());
 }
 
-TEST(ConcurrentChisel, ScrubCadenceNeedsControlThread)
+TEST(ConcurrentChisel, IdleControlThreadStopsPromptly)
 {
-    // Periodic scrubs run on the control thread, so a cadence without
-    // one is refused instead of silently never scrubbing.
+    // The control thread sleeps until its next deadline, an hour
+    // out; the destructor must wake it rather than wait that out.
     ConcurrentOptions opts;
-    opts.controlThread = false;
-    opts.scrubInterval = std::chrono::milliseconds(1);
-    EXPECT_THROW(ConcurrentChisel(RoutingTable{}, {}, opts), ChiselError);
+    opts.gcInterval = std::chrono::hours(1);
+    auto *c = new ConcurrentChisel(generateScaledTable(200, 32, 53), {},
+                                   opts);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    // Destroy on a helper thread so a wedged destructor fails the
+    // test instead of hanging it.
+    auto destroyed = std::make_shared<std::atomic<bool>>(false);
+    std::thread destroyer([c, destroyed] {
+        delete c;
+        destroyed->store(true, std::memory_order_release);
+    });
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!destroyed->load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (destroyed->load(std::memory_order_acquire)) {
+        destroyer.join();
+    } else {
+        // A wedged destructor blocks for the full hour: let the
+        // helper go so the suite reports the failure instead of
+        // hanging on it.
+        ADD_FAILURE() << "destructor still waiting after 1 s";
+        destroyer.detach();
+    }
+}
+
+TEST(ConcurrentChisel, TimedGcStillRunsOnControlThread)
+{
+    ChiselConfig config;
+    config.defaultTtlMs = 100;
+    ConcurrentOptions opts;
+    opts.ttlWallClock = false;   // Only advanceTtlClock moves time.
+    opts.gcInterval = std::chrono::milliseconds(5);
+    ConcurrentChisel c(RoutingTable{}, config, opts);
+    Prefix p(Key128::fromIpv4(0x0A000000u), 24);
+    c.announce(p, 1);
+
+    // Past the route's TTL: the control thread's next GC pass, not a
+    // direct gcTick(), must retire it.
+    c.advanceTtlClock(1000);
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (c.expired() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(c.expired(), 0u);
+    EXPECT_FALSE(c.find(p).has_value());
 }
 
 // ---- The stress test -------------------------------------------------------
@@ -543,7 +511,7 @@ TEST(ConcurrentStress, ReadersAlwaysSeeSomePublishedGeneration)
     UpdateTraceGenerator gen(table, TraceProfile{}, 32, 63);
     std::vector<Update> updates = gen.generate(kUpdates);
 
-    ConcurrentChisel c(table, {}, noThreadsOptions());
+    ConcurrentChisel c(table);
 
     const unsigned nReaders = readerThreads();
     std::atomic<bool> writerDone{false};
@@ -658,7 +626,7 @@ TEST(ConcurrentStress, MixedWriterOperationsKeepReadersConsistent)
         generateLookupKeys(table, 1024, 32, 0.7, 72);
     UpdateTraceGenerator gen(table, TraceProfile{}, 32, 73);
 
-    ConcurrentChisel c(table, {}, noThreadsOptions());
+    ConcurrentChisel c(table);
     BinaryTrie oracle(table);
 
     const unsigned nReaders = readerThreads();

@@ -235,9 +235,7 @@ TEST(Engine, MatchedLengthTracksOracleAcrossUpdatesRecoveryAndRestore)
     // Replica bootstrap: a standby installs the shipped image.
     std::string path = ::testing::TempDir() + "engine_matched_len.snap";
     persist::saveSnapshot(path, e, 0);
-    concurrent::ConcurrentOptions copts;
-    copts.controlThread = false;
-    concurrent::ConcurrentChisel standby(RoutingTable{}, e.config(), copts);
+    concurrent::ConcurrentChisel standby(RoutingTable{}, e.config());
     ASSERT_TRUE(standby.restoreFromSnapshot(path));
     EXPECT_TRUE(answersLikeOracle(standby, truth, keys));
     std::remove(path.c_str());

@@ -559,9 +559,7 @@ TEST(FaultSoftError, AccessCountersExactUnderConcurrentUpdates)
             ? static_cast<unsigned>(std::atoi(env)) : 4;
     const uint64_t per_reader = 20000;
     RoutingTable table = generateScaledTable(2000, 32, 0xACC);
-    concurrent::ConcurrentOptions opts;
-    opts.controlThread = false;
-    concurrent::ConcurrentChisel plane(table, ChiselConfig{}, opts);
+    concurrent::ConcurrentChisel plane(table);
     auto keys = generateLookupKeys(table, 1000, 32, 0.8, 0xACD);
     UpdateTraceGenerator gen(table, TraceProfile{}, 32, 0xACE);
     auto updates = gen.generate(300);

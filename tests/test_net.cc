@@ -115,7 +115,6 @@ struct Harness
         table.add(v4Prefix(0x0A000000u, 8), 100);    // 10.0.0.0/8
         table.add(v4Prefix(0x0A010000u, 16), 200);   // 10.1.0.0/16
         popts.shards = shards;
-        popts.engine.controlThread = false;
         popts.persistDir = std::move(persist_dir);
         plane = std::make_unique<ShardedChisel>(table, popts);
         service = std::make_unique<ChiselService>(*plane, opts);

@@ -31,7 +31,6 @@ namespace chisel {
 namespace {
 
 using concurrent::ConcurrentChisel;
-using concurrent::ConcurrentOptions;
 using obs::IntrospectResponse;
 using obs::IntrospectionServer;
 using telemetry::FlightKind;
@@ -204,9 +203,7 @@ TEST(Introspect, ServesLiveEngineOverLoopback)
     UpdateTraceGenerator gen(table, TraceProfile{}, 32, 0x902);
     std::vector<Update> updates = gen.generate(4000);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel engine(table, {}, copts);
+    ConcurrentChisel engine(table);
 
     MetricRegistry registry;
     registry.counter("obs.integration.marker").inc(7);

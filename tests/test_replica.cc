@@ -43,7 +43,6 @@ namespace chisel {
 namespace {
 
 using concurrent::ConcurrentChisel;
-using concurrent::ConcurrentOptions;
 using replica::ByteStream;
 using replica::Follower;
 using replica::FollowerOptions;
@@ -305,9 +304,7 @@ TEST(Replica, ShipsRecordsOverLoopbackTcp)
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
     Follower follower(standby, fp,
@@ -378,9 +375,7 @@ TEST(Replica, SnapshotBootstrapAfterTailEviction)
         return persist::encodeSnapshotImage(sidecar, covered_at);
     };
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
     Follower follower(standby, fp,
@@ -451,9 +446,7 @@ TEST(Replica, LeaderRestartForcesSnapshotCatchup)
         return persist::encodeSnapshotImage(sidecar, 40);
     };
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
     Follower follower(standby, fp,
@@ -498,9 +491,7 @@ TEST(Replica, SnapshotUnavailableBacksOffInsteadOfTightLooping)
     for (const Update &u : updates)
         ASSERT_NE(rlog.append(u), 0u);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
     Follower follower(standby, fp,
@@ -531,9 +522,7 @@ TEST(Replica, ResumesFromSequenceWithoutDuplicates)
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     Follower follower(standby, fp,
                       {.spoolPath = journal.path + ".spool"});
 
@@ -616,9 +605,7 @@ TEST(Replica, TornSnapshotDiscardedThenRecovered)
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     Follower follower(standby, fp, {.spoolPath = spool.path});
 
     RoutingTable full = advance(table, updates, updates.size());
@@ -691,9 +678,7 @@ TEST(Replica, SnapshotInstallFailureDropsConnectionWithoutAck)
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     // An unwritable spool: installation must fail after a valid
     // transfer, and the follower must drop the connection instead of
     // acking records onto an engine missing the snapshot base.
@@ -739,9 +724,7 @@ TEST(Replica, CorruptSnapshotCrcDiscarded)
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     Follower follower(standby, fp, {.spoolPath = spool.path});
 
     ChiselEngine sidecar(table, config);
@@ -782,9 +765,7 @@ TEST(Replica, PromotedFollowerFencesStaleEpoch)
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     Follower follower(standby, fp, {.spoolPath = spool.path});
 
     replica::PromotionReport promo = follower.promote();
@@ -850,9 +831,7 @@ TEST(Replica, StaleLeaderLatchesFenceEndToEnd)
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
     Follower follower(standby, fp, {.spoolPath = spool.path});
@@ -882,9 +861,7 @@ TEST(Replica, HeartbeatSilenceDetection)
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     FollowerOptions fo;
     fo.heartbeatTimeoutMs = 60;
     fo.spoolPath = spool.path;
@@ -929,9 +906,7 @@ TEST(Replica, PromotionReplaysJournalTail)
             ASSERT_NE(j.append(u), 0u);
     }
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     Follower follower(standby, fp, {.spoolPath = spool.path});
 
     replica::PromotionReport promo = follower.promote(journal.path);
@@ -963,9 +938,7 @@ TEST(Replica, FollowerTracksExpiryAndResizeMark)
     // the resize, unlike configFingerprint.
     uint64_t fp = elasticFingerprint(config);
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
     Follower follower(standby, fp,
@@ -1057,9 +1030,7 @@ TEST(Replica, PromotionReplaysResizeMark)
         j.appendResizeMark(grown);
     }
 
-    ConcurrentOptions copts;
-    copts.controlThread = false;
-    ConcurrentChisel standby(table, config, copts);
+    ConcurrentChisel standby(table, config);
     Follower follower(standby, fp, {.spoolPath = spool.path});
 
     replica::PromotionReport promo = follower.promote(journal.path);

@@ -37,7 +37,6 @@
 namespace chisel {
 namespace {
 
-using concurrent::ConcurrentOptions;
 using concurrent::EpochManager;
 using net::CallStatus;
 using net::ChiselService;
@@ -78,8 +77,6 @@ smallOptions(size_t shards, unsigned bits)
     ShardedOptions o;
     o.shards = shards;
     o.partitionBits = bits;
-    o.engine.controlThread = false;
-    o.engine.healthMonitor = false;
     return o;
 }
 
