@@ -134,9 +134,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 
     ConcurrentOptions copts;
     copts.healthInterval = std::chrono::milliseconds(2);
-    copts.health.resizeAfter = 2;
     copts.gcInterval = std::chrono::milliseconds(5);
-    copts.gcBatch = 512;
     // Logical TTL time, advanced by the storm loop: the audit freezes
     // the clock simply by not advancing it, so nothing expires between
     // the journal scan and the engine probe — and the run is

@@ -297,31 +297,10 @@ main(int argc, char **argv)
     // single-image replay executes the cheap rungs itself (purge,
     // scrub) and reports the rebuild rungs as unavailable.
     health::HealthMonitor hmon;
-    struct
-    {
-        uint64_t tcam = 0, retries = 0, parity = 0, rejectedSlow = 0;
-    } hbase;
+    RobustnessCounters hbase;
     size_t purged = 0;
     auto sampleHealth = [&] {
-        health::HealthSignals sig;
-        RobustnessCounters hc = engine->robustness();
-        if (config.slowPathCapacity > 0)
-            sig.slowPathOccupancy =
-                double(engine->slowPathCount()) /
-                double(config.slowPathCapacity);
-        if (config.dirtyBudgetPerCell > 0)
-            sig.dirtyOccupancy =
-                double(engine->dirtyCount()) /
-                (double(config.dirtyBudgetPerCell) *
-                 double(engine->cellCount()));
-        sig.tcamOverflows = hc.tcamOverflows - hbase.tcam;
-        sig.setupRetries = hc.setupRetries - hbase.retries;
-        sig.parityRecoveries = hc.parityRecoveries - hbase.parity;
-        sig.slowPathRejected =
-            hc.slowPathRejected - hbase.rejectedSlow;
-        hbase = {hc.tcamOverflows, hc.setupRetries,
-                 hc.parityRecoveries, hc.slowPathRejected};
-        hmon.sample(sig);
+        hmon.sample(sampleHealthSignals(*engine, hbase));
         health::RecoveryAction action = hmon.takeAction();
         switch (action) {
           case health::RecoveryAction::PurgeDirty:

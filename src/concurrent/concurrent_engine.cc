@@ -13,7 +13,7 @@ namespace chisel::concurrent {
 ConcurrentChisel::ConcurrentChisel(const RoutingTable &initial,
                                    const ChiselConfig &config,
                                    const ConcurrentOptions &options)
-    : config_(config), options_(options), monitor_(options.health)
+    : config_(config), options_(options)
 {
     ttlEpoch_ = std::chrono::steady_clock::now();
     // Both images are built from the same table with the same config
@@ -251,8 +251,11 @@ ConcurrentChisel::advanceTtlClock(uint64_t ms)
 size_t
 ConcurrentChisel::gcTick(size_t max_batch)
 {
+    // The default batch bounds how long one pass holds the writer
+    // lock: each expiry is a full apply with its own flip and grace.
+    constexpr size_t kGcBatch = 256;
     if (max_batch == 0)
-        max_batch = options_.gcBatch;
+        max_batch = kGcBatch;
 
     std::lock_guard<std::mutex> lock(writerMutex_);
 
@@ -409,45 +412,6 @@ ConcurrentChisel::purgeDirtyNow()
     return purged;
 }
 
-health::HealthSignals
-ConcurrentChisel::collectSignals()
-{
-    health::HealthSignals sig;
-    sig.watchdogExpired = monitor_.watchdogExpired();
-
-    RobustnessCounters r;
-    {
-        std::lock_guard<std::mutex> lock(writerMutex_);
-        const ChiselEngine &engine = *idleImage().engine;
-        r = engine.robustness();
-        if (config_.slowPathCapacity > 0)
-            sig.slowPathOccupancy = double(engine.slowPathCount()) /
-                                    double(config_.slowPathCapacity);
-        if (config_.spillCapacity > 0)
-            sig.spillOccupancy = double(engine.spillCount()) /
-                                 double(config_.spillCapacity);
-        if (config_.dirtyBudgetPerCell > 0) {
-            double budget = double(config_.dirtyBudgetPerCell) *
-                            double(engine.cellCount());
-            sig.dirtyOccupancy = double(engine.dirtyCount()) / budget;
-        }
-    }
-
-    // Event signals are deltas since the previous sample.
-    sig.tcamOverflows = r.tcamOverflows - baseline_.tcamOverflows;
-    sig.setupRetries = r.setupRetries - baseline_.setupRetries;
-    sig.parityRecoveries =
-        r.parityRecoveries - baseline_.parityRecoveries;
-    sig.slowPathRejected =
-        r.slowPathRejected - baseline_.slowPathRejected;
-
-    baseline_.tcamOverflows = r.tcamOverflows;
-    baseline_.setupRetries = r.setupRetries;
-    baseline_.parityRecoveries = r.parityRecoveries;
-    baseline_.slowPathRejected = r.slowPathRejected;
-    return sig;
-}
-
 bool
 ConcurrentChisel::executeAction(health::RecoveryAction action)
 {
@@ -483,7 +447,14 @@ health::HealthState
 ConcurrentChisel::healthTick()
 {
     std::lock_guard<std::mutex> hlock(healthMutex_);
-    health::HealthState state = monitor_.sample(collectSignals());
+    bool watchdog = monitor_.watchdogExpired();
+    health::HealthSignals signals;
+    {
+        std::lock_guard<std::mutex> lock(writerMutex_);
+        signals = sampleHealthSignals(*idleImage().engine, baseline_);
+    }
+    signals.watchdogExpired = watchdog;
+    health::HealthState state = monitor_.sample(signals);
     health::RecoveryAction action = monitor_.takeAction();
     if (action != health::RecoveryAction::None)
         monitor_.actionCompleted(action, executeAction(action));

@@ -77,9 +77,6 @@ struct ConcurrentOptions
      */
     std::chrono::milliseconds scrubInterval{0};
 
-    /** Health thresholds and hysteresis depths. */
-    health::MonitorConfig health;
-
     /**
      * Health-state machine cadence of the control thread: sample
      * signals every healthInterval and execute the recommended
@@ -105,14 +102,11 @@ struct ConcurrentOptions
     /**
      * TTL garbage-collection cadence for the control thread; zero
      * disables background GC (gcTick() remains callable directly).
-     * Each pass retires at most gcBatch expired entries, each as a
+     * Each pass retires a bounded batch of expired entries, each as a
      * first-class Expire update through the ordinary apply path —
      * journal-visible, replication-visible, flip-published.
      */
     std::chrono::milliseconds gcInterval{0};
-
-    /** Max entries retired per GC pass (bounds writer-lock hold). */
-    size_t gcBatch = 256;
 
     /**
      * Drive the TTL clock from wall time (steady clock since
@@ -228,7 +222,7 @@ class ConcurrentChisel
 
     /**
      * One garbage-collection pass: advance the TTL clock, collect up
-     * to @p max_batch expired prefixes (0 = options.gcBatch) and
+     * to @p max_batch expired prefixes (0 = 256) and
      * retire each as an Expire update through the normal apply path —
      * journaled, counted, flip-published like any withdraw.  Runs
      * periodically on the control thread when options.gcInterval > 0.
@@ -374,9 +368,6 @@ class ConcurrentChisel
     /** Scrub the idle image once; caller holds writerMutex_. */
     void scrubIdleLocked(ScrubReport &report);
 
-    /** Gather one HealthSignals sample (takes writerMutex_). */
-    health::HealthSignals collectSignals();
-
     /** Run one recovery action; @return success. */
     bool executeAction(health::RecoveryAction action);
 
@@ -419,13 +410,7 @@ class ConcurrentChisel
     mutable std::mutex healthMutex_;
 
     /** Counter values at the previous sample (delta computation). */
-    struct SignalBaseline
-    {
-        uint64_t tcamOverflows = 0;
-        uint64_t setupRetries = 0;
-        uint64_t parityRecoveries = 0;
-        uint64_t slowPathRejected = 0;
-    } baseline_;
+    RobustnessCounters baseline_;
 
     /** Guards stop_; the control thread waits on controlWake_. */
     std::mutex controlMutex_;

@@ -10,6 +10,7 @@
 #include "common/logging.hh"
 #include "fault/fault.hh"
 #include "hash/mix.hh"
+#include "health/monitor.hh"
 #include "telemetry/engine_telemetry.hh"
 
 namespace chisel {
@@ -238,6 +239,35 @@ ChiselEngine::robustness() const
         r.suppressedFlaps += h.suppressedFlaps;
     }
     return r;
+}
+
+health::HealthSignals
+sampleHealthSignals(const ChiselEngine &engine,
+                    RobustnessCounters &baseline)
+{
+    const ChiselConfig &config = engine.config();
+    health::HealthSignals sig;
+    if (config.slowPathCapacity > 0)
+        sig.slowPathOccupancy = double(engine.slowPathCount()) /
+                                double(config.slowPathCapacity);
+    if (config.spillCapacity > 0)
+        sig.spillOccupancy =
+            double(engine.spillCount()) / double(config.spillCapacity);
+    if (config.dirtyBudgetPerCell > 0)
+        sig.dirtyOccupancy =
+            double(engine.dirtyCount()) /
+            (double(config.dirtyBudgetPerCell) *
+             double(engine.cellCount()));
+
+    RobustnessCounters r = engine.robustness();
+    sig.tcamOverflows = r.tcamOverflows - baseline.tcamOverflows;
+    sig.setupRetries = r.setupRetries - baseline.setupRetries;
+    sig.parityRecoveries =
+        r.parityRecoveries - baseline.parityRecoveries;
+    sig.slowPathRejected =
+        r.slowPathRejected - baseline.slowPathRejected;
+    baseline = r;
+    return sig;
 }
 
 LookupResult

@@ -42,6 +42,7 @@ namespace chisel {
 
 namespace telemetry { class EngineTelemetry; }
 namespace persist { class Encoder; class Decoder; }
+namespace health { struct HealthSignals; }
 
 /** Engine construction parameters (paper design points as defaults). */
 struct ChiselConfig
@@ -518,6 +519,15 @@ class ChiselEngine
     mutable std::array<AccessStripe, kAccessStripes> accessStripes_;
     telemetry::EngineTelemetry *telemetry_ = nullptr;
 };
+
+/**
+ * One health sample of @p engine: slow-path, spill and dirty-budget
+ * occupancies, and the robustness-event deltas since @p baseline,
+ * which then advances to the current counters.  The watchdog bit is
+ * left to the monitor's owner.
+ */
+health::HealthSignals sampleHealthSignals(const ChiselEngine &engine,
+                                          RobustnessCounters &baseline);
 
 } // namespace chisel
 

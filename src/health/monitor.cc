@@ -5,6 +5,55 @@
 
 namespace chisel::health {
 
+namespace {
+
+// Thresholds and hysteresis depths (docs/robustness.md gives the
+// reason for each value).  Occupancy thresholds are fractions of the
+// structure's capacity.
+
+/** Any sustained software residency is routes off the datapath. */
+constexpr double kSlowPathWarn = 0.05;
+/** Half full: the lossy rung (slowPathRejected) is in sight. */
+constexpr double kSlowPathCritical = 0.50;
+/** The spill TCAM is small (§4.3); warn while a burst still fits. */
+constexpr double kSpillWarn = 0.80;
+/** The next displaced route overflows to the slow path. */
+constexpr double kSpillCritical = 0.98;
+/** Dirty-budget evictions start at 1.0; warn well before. */
+constexpr double kDirtyWarn = 0.75;
+constexpr double kDirtyCritical = 0.99;
+
+/** Consecutive warn-or-worse samples before Healthy -> Stressed. */
+constexpr unsigned kStressAfter = 2;
+/** Consecutive critical samples before -> Degraded. */
+constexpr unsigned kDegradeAfter = 2;
+/** Further critical samples in Degraded before Quarantined: the
+ * Scrub armed on entering Degraded gets a chance to work first. */
+constexpr unsigned kQuarantineAfter = 3;
+/** Consecutive clean samples before Recovering -> Healthy. */
+constexpr unsigned kRecoverAfter = 3;
+
+/**
+ * Consecutive capacity-pressure samples (spill/slow-path occupancy
+ * past warn, or setup retries) before a Resize is armed.
+ */
+constexpr unsigned kResizeAfter = 3;
+
+/**
+ * Samples after arming a Resize during which another cannot arm.  A
+ * resize is a full rebuild: its own setup retries (and the lag before
+ * occupancy reflects the grown capacity) would otherwise read as
+ * fresh pressure and thrash the engine through back-to-back rebuilds.
+ */
+constexpr unsigned kResizeCooldown = 25;
+
+/** One update taking longer than this is critical.  An update
+ * applies in microseconds, a cell resetup in milliseconds; seconds
+ * means the update path is wedged. */
+constexpr std::chrono::milliseconds kUpdateDeadline{2000};
+
+} // anonymous namespace
+
 const char *
 healthStateName(HealthState s)
 {
@@ -65,7 +114,7 @@ HealthMonitor::watchdogExpired(Clock::time_point now) const
             .count();
     return now_ns - start >
            std::chrono::duration_cast<std::chrono::nanoseconds>(
-               config_.updateDeadline)
+               kUpdateDeadline)
                .count();
 }
 
@@ -80,14 +129,14 @@ HealthMonitor::classify(const HealthSignals &s) const
     // the ladder working as designed.
     if (s.watchdogExpired || s.slowPathRejected > 0 ||
         s.parityRecoveries > 0 ||
-        s.slowPathOccupancy >= config_.slowPathCritical ||
-        s.spillOccupancy >= config_.spillCritical ||
-        s.dirtyOccupancy >= config_.dirtyCritical)
+        s.slowPathOccupancy >= kSlowPathCritical ||
+        s.spillOccupancy >= kSpillCritical ||
+        s.dirtyOccupancy >= kDirtyCritical)
         return Severity::Critical;
     if (s.tcamOverflows > 0 || s.setupRetries > 0 ||
-        s.slowPathOccupancy >= config_.slowPathWarn ||
-        s.spillOccupancy >= config_.spillWarn ||
-        s.dirtyOccupancy >= config_.dirtyWarn)
+        s.slowPathOccupancy >= kSlowPathWarn ||
+        s.spillOccupancy >= kSpillWarn ||
+        s.dirtyOccupancy >= kDirtyWarn)
         return Severity::Warn;
     return Severity::Ok;
 }
@@ -149,19 +198,19 @@ HealthMonitor::sample(const HealthSignals &signals)
 
     switch (s) {
       case HealthState::Healthy:
-        if (critStreak_ >= config_.degradeAfter)
+        if (critStreak_ >= kDegradeAfter)
             transition(HealthState::Degraded);
-        else if (warnStreak_ >= config_.stressAfter)
+        else if (warnStreak_ >= kStressAfter)
             transition(HealthState::Stressed);
         break;
       case HealthState::Stressed:
-        if (critStreak_ >= config_.degradeAfter)
+        if (critStreak_ >= kDegradeAfter)
             transition(HealthState::Degraded);
         else if (okStreak_ >= 1)
             transition(HealthState::Recovering);
         break;
       case HealthState::Degraded:
-        if (stateCrit_ >= config_.quarantineAfter)
+        if (stateCrit_ >= kQuarantineAfter)
             transition(HealthState::Quarantined);
         else if (okStreak_ >= 1)
             transition(HealthState::Recovering);
@@ -169,7 +218,7 @@ HealthMonitor::sample(const HealthSignals &signals)
       case HealthState::Quarantined:
         if (okStreak_ >= 1) {
             transition(HealthState::Recovering);
-        } else if (stateCrit_ >= config_.quarantineAfter) {
+        } else if (stateCrit_ >= kQuarantineAfter) {
             // Still critical after the last action: escalate to the
             // next rung (resetup, then snapshot restore; the ladder
             // then repeats from resetup rather than giving up).
@@ -181,9 +230,9 @@ HealthMonitor::sample(const HealthSignals &signals)
         }
         break;
       case HealthState::Recovering:
-        if (critStreak_ >= config_.degradeAfter)
+        if (critStreak_ >= kDegradeAfter)
             transition(HealthState::Degraded);
-        else if (okStreak_ >= config_.recoverAfter)
+        else if (okStreak_ >= kRecoverAfter)
             transition(HealthState::Healthy);
         break;
       case HealthState::kCount:
@@ -193,20 +242,19 @@ HealthMonitor::sample(const HealthSignals &signals)
     // Capacity pressure runs orthogonally to the severity ladder: the
     // tables being *full* (spill/slow-path residency, setup-retry
     // exhaustion) is growth, which no scrub or purge relieves.  After
-    // resizeAfter consecutive pressure samples a Resize is armed,
+    // kResizeAfter consecutive pressure samples a Resize is armed,
     // overriding whatever rung the ladder chose — growing the engine
     // also clears the symptoms the ladder was reacting to.
     bool capacity_pressure =
-        signals.spillOccupancy >= config_.spillWarn ||
-        signals.slowPathOccupancy >= config_.slowPathWarn ||
+        signals.spillOccupancy >= kSpillWarn ||
+        signals.slowPathOccupancy >= kSlowPathWarn ||
         signals.setupRetries > 0;
     capacityStreak_ = capacity_pressure ? capacityStreak_ + 1 : 0;
     if (capacityCooldown_ > 0) {
         --capacityCooldown_;
-    } else if (config_.resizeAfter > 0 &&
-               capacityStreak_ >= config_.resizeAfter) {
+    } else if (capacityStreak_ >= kResizeAfter) {
         capacityStreak_ = 0;
-        capacityCooldown_ = config_.resizeCooldown;
+        capacityCooldown_ = kResizeCooldown;
         pending_ = RecoveryAction::Resize;
     }
 
@@ -249,7 +297,7 @@ HealthMonitor::recordFailover()
     CHISEL_FLIGHT_EVENT(RecoveryAction, RecoveryAction::FailedOver, 1,
                         0);
     // A promoted standby serves immediately, but on probation: it
-    // must produce recoverAfter clean samples before claiming
+    // must produce kRecoverAfter clean samples before claiming
     // Healthy, exactly like a node leaving Quarantined.
     if (state() != HealthState::Recovering)
         transition(HealthState::Recovering);

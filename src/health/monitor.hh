@@ -24,7 +24,8 @@
  * chaos harness directly) executes actions under its own write
  * exclusion and reports completion.  Sampling is explicit — callers
  * feed a HealthSignals every tick — so tests drive the machine
- * deterministically with synthetic signals.
+ * deterministically with synthetic signals.  Thresholds and
+ * hysteresis depths are constants (monitor.cc).
  *
  * See docs/robustness.md for the state diagram and the full
  * signal -> state -> action degradation matrix.
@@ -103,45 +104,6 @@ struct HealthSignals
     bool watchdogExpired = false;    ///< An update overran its deadline.
 };
 
-/** Thresholds and hysteresis depths. */
-struct MonitorConfig
-{
-    double slowPathWarn = 0.05;
-    double slowPathCritical = 0.50;
-    double spillWarn = 0.80;
-    double spillCritical = 0.98;
-    double dirtyWarn = 0.75;
-    double dirtyCritical = 0.99;
-
-    /** Consecutive warn-or-worse samples before Healthy -> Stressed. */
-    unsigned stressAfter = 2;
-    /** Consecutive critical samples before -> Degraded. */
-    unsigned degradeAfter = 2;
-    /** Further critical samples in Degraded before Quarantined. */
-    unsigned quarantineAfter = 3;
-    /** Consecutive clean samples before Recovering -> Healthy. */
-    unsigned recoverAfter = 3;
-
-    /**
-     * Consecutive capacity-pressure samples (spill/slow-path
-     * occupancy past warn, or setup retries) before a Resize is
-     * armed.  0 disables capacity-driven resizes.
-     */
-    unsigned resizeAfter = 3;
-
-    /**
-     * Samples after arming a Resize during which another cannot arm.
-     * A resize is a full rebuild: its own setup retries (and the lag
-     * before occupancy reflects the grown capacity) would otherwise
-     * read as fresh pressure and thrash the engine through
-     * back-to-back rebuilds.
-     */
-    unsigned resizeCooldown = 25;
-
-    /** Watchdog: one update taking longer than this is critical. */
-    std::chrono::milliseconds updateDeadline{2000};
-};
-
 /**
  * The state machine.  sample()/recommendedAction()/actionCompleted()
  * must be externally serialized (ConcurrentChisel uses a dedicated
@@ -152,12 +114,6 @@ class HealthMonitor
 {
   public:
     using Clock = std::chrono::steady_clock;
-
-    explicit HealthMonitor(const MonitorConfig &config = {})
-        : config_(config)
-    {}
-
-    const MonitorConfig &config() const { return config_; }
 
     // ---- Watchdog (stamped around every update application) --------
 
@@ -199,7 +155,7 @@ class HealthMonitor
      * Record a warm-standby promotion (docs/replication.md): counts a
      * FailedOver action, leaves a flight record, and moves the
      * machine to Recovering — a freshly promoted leader serves, but
-     * on probation until recoverAfter clean samples pass.
+     * on probation until three clean samples pass.
      */
     void recordFailover();
 
@@ -223,8 +179,6 @@ class HealthMonitor
 
     Severity classify(const HealthSignals &signals) const;
     void transition(HealthState to);
-
-    MonitorConfig config_;
 
     std::atomic<uint8_t> state_{
         static_cast<uint8_t>(HealthState::Healthy)};

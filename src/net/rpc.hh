@@ -71,7 +71,7 @@ const char *msgTypeName(MsgType t);
 /** Status-reply codes (u8 on the wire). */
 enum class StatusCode : uint8_t
 {
-    Overloaded = 1,  ///< Shed by health state or admission tokens.
+    Overloaded = 1,  ///< Shed by health state.
     Draining = 2,    ///< Graceful shutdown in progress.
     BadRequest = 3,  ///< Well-framed but protocol-violating request.
 };

@@ -28,6 +28,14 @@ constexpr size_t kReadBurstBytes = 64 * 1024;
 /** Resume reading once a paused connection drains to half its bound. */
 constexpr size_t kResumeDivisor = 2;
 
+/**
+ * Retry-after hint stamped into Overloaded/Draining replies: long
+ * enough for a shedding shard's recovery action (a purge or scrub
+ * pass) to finish, short against a client's request deadline, which
+ * must leave room for a few retries.
+ */
+constexpr uint64_t kRetryAfterMs = 50;
+
 uint64_t
 msToNs(int ms)
 {
@@ -47,7 +55,7 @@ acceptsWrites(health::HealthState h)
 
 ChiselService::ChiselService(shard::ShardedChisel &plane,
                              const ServiceOptions &options)
-    : plane_(plane), options_(options), admission_(options.admission)
+    : plane_(plane), options_(options)
 {}
 
 ChiselService::~ChiselService()
@@ -485,7 +493,7 @@ ChiselService::serveLookup(const RpcMessage &req)
         CHISEL_FLIGHT_EVENT(NetShed, h, req.id,
                             MsgType::LookupRequest);
         return makeStatus(req.id, StatusCode::Overloaded,
-                          options_.retryAfterMs);
+                          kRetryAfterMs);
     }
     if (req.keys.empty()) {
         badRequests_.fetch_add(1, std::memory_order_relaxed);
@@ -501,7 +509,7 @@ ChiselService::serveLookup(const RpcMessage &req)
             CHISEL_FLIGHT_EVENT(NetShed, plane_.shardHealth(s), req.id,
                                 MsgType::LookupRequest);
             return makeStatus(req.id, StatusCode::Overloaded,
-                              options_.retryAfterMs);
+                              kRetryAfterMs);
         }
     }
     std::vector<WireLookup> results;
@@ -527,7 +535,7 @@ ChiselService::serveUpdate(const RpcMessage &req)
         // cover everything this process ever acked.
         drainingReplies_.fetch_add(1, std::memory_order_relaxed);
         return makeStatus(req.id, StatusCode::Draining,
-                          options_.retryAfterMs);
+                          kRetryAfterMs);
     }
     health::HealthState h = plane_.aggregateHealth();
     if (!acceptsWrites(h)) {
@@ -538,7 +546,7 @@ ChiselService::serveUpdate(const RpcMessage &req)
         CHISEL_FLIGHT_EVENT(NetShed, h, req.id,
                             MsgType::UpdateRequest);
         return makeStatus(req.id, StatusCode::Overloaded,
-                          options_.retryAfterMs);
+                          kRetryAfterMs);
     }
     if (req.updates.empty()) {
         badRequests_.fetch_add(1, std::memory_order_relaxed);
@@ -574,19 +582,8 @@ ChiselService::serveUpdate(const RpcMessage &req)
                 CHISEL_FLIGHT_EVENT(NetShed, sh, req.id,
                                     MsgType::UpdateRequest);
                 return makeStatus(req.id, StatusCode::Overloaded,
-                                  options_.retryAfterMs);
+                                  kRetryAfterMs);
             }
-        }
-    }
-    for (const Update &u : req.updates) {
-        if (!admission_.tryAdmit(u.kind)) {
-            overloaded_.fetch_add(1, std::memory_order_relaxed);
-            shedUpdates_.fetch_add(req.updates.size(),
-                                   std::memory_order_relaxed);
-            CHISEL_FLIGHT_EVENT(NetShed, h, req.id,
-                                MsgType::UpdateRequest);
-            return makeStatus(req.id, StatusCode::Overloaded,
-                              options_.retryAfterMs);
         }
     }
 

@@ -34,9 +34,7 @@
  *    Degraded or Quarantined, every request touching it fails fast
  *    with Overloaded instead of queuing behind a sick engine.  One
  *    sick shard sheds only its own keyspace slice; the whole-plane
- *    matrix trips only when a majority of shards are sick.  A token
- *    bucket (AdmissionController::tryAdmit) additionally meters
- *    update admission even while Healthy.
+ *    matrix trips only when a majority of shards are sick.
  *  - Durable acks, per shard: an update is acked only after its
  *    shard's journal lastDurableSeq() covers its record (every
  *    shard's, for a broadcast) — there is no window where a client
@@ -64,7 +62,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "health/admission.hh"
 #include "health/monitor.hh"
 #include "net/rpc.hh"
 
@@ -94,16 +91,6 @@ struct ServiceOptions
 
     /** Reply-flush budget of a graceful drain. */
     int drainDeadlineMs = 2000;
-
-    /** Retry-after hint stamped into Overloaded/Draining replies. */
-    uint64_t retryAfterMs = 50;
-
-    /**
-     * Update-admission metering for the RPC path (tryAdmit token
-     * buckets).  Disabled by default: health-state shedding alone
-     * governs.
-     */
-    health::AdmissionOptions admission;
 
     /**
      * Installed thread-locally on the serving thread, arming the
@@ -244,8 +231,6 @@ class ChiselService
 
     shard::ShardedChisel &plane_;
     ServiceOptions options_;
-
-    health::AdmissionController admission_;
 
     int listenFd_ = -1;
     int epollFd_ = -1;

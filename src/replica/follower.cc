@@ -13,6 +13,18 @@
 
 namespace chisel::replica {
 
+namespace {
+
+/** caughtUp() bound: a standby this close replays its whole gap in
+ * well under a millisecond when promoted. */
+constexpr uint64_t kLagBound = 64;
+
+/** Ack cadence in applied records: keeps the leader's view of the
+ * follower within half the lag bound for one frame per 32 records. */
+constexpr uint64_t kAckEvery = 32;
+
+} // anonymous namespace
+
 Follower::Follower(concurrent::ConcurrentChisel &engine,
                    uint64_t config_fingerprint,
                    const FollowerOptions &options)
@@ -43,7 +55,7 @@ Follower::caughtUp() const
 {
     if (promoted())
         return true;
-    return connected() && lag() <= options_.lagBound;
+    return connected() && lag() <= kLagBound;
 }
 
 bool
@@ -99,8 +111,7 @@ Follower::handleConnection(ByteStream &stream)
         return;
 
     Frame welcome;
-    if (!readFrame(stream, reader, welcome,
-                   options_.handshakeTimeoutMs))
+    if (!readFrame(stream, reader, welcome, kHandshakeTimeoutMs))
         return;
     if (welcome.type != FrameType::Welcome)
         return;
@@ -188,7 +199,7 @@ Follower::handleFrame(ByteStream &stream, const Frame &frame,
             return false;  // Corrupt shipment: drop and resync.
         }
         if (applyRecord(rec) &&
-            ++since_ack >= options_.ackEvery) {
+            ++since_ack >= kAckEvery) {
             since_ack = 0;
             sendFrame(stream,
                       makeAck(maxEpochSeen_.load(

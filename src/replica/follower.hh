@@ -56,20 +56,11 @@ struct FollowerOptions
     /** No leader traffic for this long means the leader is dead. */
     uint64_t heartbeatTimeoutMs = 500;
 
-    /** caughtUp() requires lag() <= this many records. */
-    uint64_t lagBound = 64;
-
     /** Where shipped snapshot images spool before installation. */
     std::string spoolPath = "follower_snapshot.chs";
 
     /** Highest fencing epoch already seen (recovered state). */
     uint64_t initialMaxEpoch = 0;
-
-    /** Handshake (Welcome) wait per connection, ms. */
-    uint64_t handshakeTimeoutMs = 2000;
-
-    /** Send an Ack at least every this many applied records. */
-    uint64_t ackEvery = 32;
 };
 
 /** What promote() did. */
@@ -184,7 +175,7 @@ class Follower
 
     /**
      * Ready to serve: promoted, or connected with replication lag
-     * within options.lagBound.  The /healthz gate.
+     * within 64 records.  The /healthz gate.
      */
     bool caughtUp() const;
 

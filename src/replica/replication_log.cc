@@ -13,6 +13,19 @@
 
 namespace chisel::replica {
 
+namespace {
+
+/** Reconnect backoff cap: a follower that comes back is picked up
+ * within about two seconds, while a dead one costs a connect attempt
+ * at most every two seconds. */
+constexpr uint64_t kBackoffMaxMs = 2000;
+
+/** Fixed seed: the jitter only de-synchronizes reconnect attempts, so
+ * a repeatable stream costs nothing and keeps runs reproducible. */
+constexpr uint64_t kJitterSeed = 0x5ca1ab1e;
+
+} // anonymous namespace
+
 ReplicationLog::ReplicationLog(const std::string &path,
                                uint64_t config_fingerprint,
                                size_t fsync_every,
@@ -226,7 +239,7 @@ void
 ReplicationLog::shipperMain(TransportFactory factory,
                             SnapshotProvider snapshots)
 {
-    Rng jitter(options_.jitterSeed);
+    Rng jitter(kJitterSeed);
     uint64_t backoff = options_.backoffMinMs;
 
     while (!stopping_.load(std::memory_order_acquire) && !fenced()) {
@@ -235,7 +248,7 @@ ReplicationLog::shipperMain(TransportFactory factory,
         if (!stream) {
             connectFailures_.fetch_add(1, std::memory_order_relaxed);
             uint64_t delay = backoff + jitter.nextBelow(backoff / 2 + 1);
-            backoff = std::min(backoff * 2, options_.backoffMaxMs);
+            backoff = std::min(backoff * 2, kBackoffMaxMs);
             if (!sleepMs(delay))
                 break;
             continue;
@@ -258,7 +271,7 @@ ReplicationLog::shipperMain(TransportFactory factory,
         } else {
             connectFailures_.fetch_add(1, std::memory_order_relaxed);
             uint64_t delay = backoff + jitter.nextBelow(backoff / 2 + 1);
-            backoff = std::min(backoff * 2, options_.backoffMaxMs);
+            backoff = std::min(backoff * 2, kBackoffMaxMs);
             if (!sleepMs(delay))
                 break;
         }
@@ -304,7 +317,7 @@ ReplicationLog::serveConnection(ByteStream &stream,
 {
     FrameReader reader;
     Frame hello;
-    if (!readFrame(stream, reader, hello, options_.handshakeTimeoutMs))
+    if (!readFrame(stream, reader, hello, kHandshakeTimeoutMs))
         return false;
     if (hello.type == FrameType::Fenced) {
         latchFence(hello.currentEpoch);

@@ -174,6 +174,13 @@ bool sendFrame(ByteStream &stream, const Frame &frame,
 bool readFrame(ByteStream &stream, FrameReader &reader, Frame &out,
                uint64_t timeout_ms);
 
+/**
+ * How long either side waits for the other's handshake frame (Hello
+ * or Welcome): a live peer answers within a round trip, so only a
+ * hung or half-open connection ever waits this out.
+ */
+constexpr uint64_t kHandshakeTimeoutMs = 2000;
+
 } // namespace chisel::replica
 
 #endif // CHISEL_REPLICA_WIRE_HH

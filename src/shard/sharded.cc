@@ -192,8 +192,10 @@ ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
     persist::saveSnapshot(sh.snapshotPath, *report.engine,
                           report.lastSeq);
 
-    sh.journal = std::make_unique<persist::UpdateJournal>(
-        sh.journalPath, fp, options_.fsyncEvery);
+    // Strict fsync policy (every record): the journal is the
+    // durability record every ack and warm restart rests on.
+    sh.journal =
+        std::make_unique<persist::UpdateJournal>(sh.journalPath, fp);
     sh.journal->appendSnapshotMark(report.lastSeq);
     sh.journal->sync();
 

@@ -89,9 +89,6 @@ struct ShardedOptions
      */
     std::string persistDir;
 
-    /** Journal fsync batching (1 = strict, every record). */
-    size_t fsyncEvery = 1;
-
     /** Run the route-by-route recovery audit per shard on restart. */
     bool audit = false;
 };

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -478,6 +479,43 @@ TEST(ConcurrentChisel, TimedGcStillRunsOnControlThread)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_GT(c.expired(), 0u);
     EXPECT_FALSE(c.find(p).has_value());
+}
+
+TEST(ConcurrentChisel, HealthTickRunsCapacityResize)
+{
+    // Under-provisioned on purpose: starved cells spill, and the
+    // small spill TCAM sits past its warn level from the first sample.
+    ChiselConfig config;
+    config.minCellCapacity = 8;
+    config.capacityHeadroom = 0.01;
+    config.spillCapacity = 16;
+    RoutingTable truth = generateScaledTable(3000, 32, 57);
+    ConcurrentChisel c(truth, config);
+    for (const Route &r : generateScaledTable(500, 32, 58).routes()) {
+        ASSERT_TRUE(c.announce(r.prefix, r.nextHop).ok());
+        truth.add(r.prefix, r.nextHop);
+    }
+    ASSERT_GT(c.robustness().tcamOverflows, 0u);
+
+    // Three consecutive capacity-pressure samples arm a Resize, and
+    // the tick that arms it runs it.
+    c.healthTick();
+    c.healthTick();
+    EXPECT_EQ(c.resizes(), 0u);
+    c.healthTick();
+    EXPECT_EQ(c.resizes(), 1u);
+    EXPECT_GT(c.config().spillCapacity, config.spillCapacity);
+
+    BinaryTrie oracle(truth);
+    for (const Route &r : truth.routes()) {
+        std::optional<Route> want = oracle.lookup(r.prefix.bits(), 32);
+        ASSERT_TRUE(want.has_value());
+        LookupResult got = c.lookup(r.prefix.bits());
+        ASSERT_TRUE(got.found) << r.prefix.str();
+        EXPECT_EQ(got.nextHop, want->nextHop);
+        EXPECT_EQ(got.matchedLength, want->prefix.length());
+    }
+    EXPECT_TRUE(c.selfCheck());
 }
 
 // ---- The stress test -------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Overload-resilience tests: flap damping (decay, hysteresis,
- * serialization), admission token buckets, the health-state machine
- * (transitions, watchdog, quarantine ladder), the engine's
+ * serialization), the health-state machine (transitions, watchdog,
+ * quarantine ladder) and the signal sampler feeding it, the engine's
  * dirty-retention budget, and a property sweep that keeps
  * dirtyCount/groupCount/storage consistent with a reference model
  * across random flap sequences.
@@ -17,7 +17,6 @@
 
 #include "common/random.hh"
 #include "core/engine.hh"
-#include "health/admission.hh"
 #include "health/damping.hh"
 #include "health/monitor.hh"
 #include "persist/codec.hh"
@@ -28,14 +27,11 @@
 namespace chisel {
 namespace {
 
-using health::AdmissionController;
-using health::AdmissionOptions;
 using health::DampingConfig;
 using health::FlapDamper;
 using health::HealthMonitor;
 using health::HealthSignals;
 using health::HealthState;
-using health::MonitorConfig;
 using health::RecoveryAction;
 
 // ---- FlapDamper ------------------------------------------------------------
@@ -153,25 +149,6 @@ TEST(FlapDamper, LoadRejectsMalformedState)
     }
 }
 
-// ---- AdmissionController ---------------------------------------------------
-
-TEST(Admission, TokenBucketMetersPerClass)
-{
-    AdmissionOptions opts;
-    opts.enabled = true;
-    opts.withdrawTokensPerSec = 1.0;   // Refill is negligible in-test.
-    opts.tokenBurst = 4.0;
-    AdmissionController ac(opts);
-
-    auto t0 = AdmissionController::Clock::now();
-    // Burst of 4 withdraws passes, the 5th is refused.
-    for (uint32_t i = 0; i < 4; ++i)
-        EXPECT_TRUE(ac.tryAdmit(UpdateKind::Withdraw, t0));
-    EXPECT_FALSE(ac.tryAdmit(UpdateKind::Withdraw, t0));
-    // Announces are unmetered (rate 0).
-    EXPECT_TRUE(ac.tryAdmit(UpdateKind::Announce, t0));
-}
-
 // ---- HealthMonitor ---------------------------------------------------------
 
 HealthSignals
@@ -264,15 +241,17 @@ TEST(HealthMonitor, QuarantineLadderEscalatesOnFailure)
 
 TEST(HealthMonitor, WatchdogBypassesHysteresis)
 {
-    MonitorConfig cfg;
-    cfg.updateDeadline = std::chrono::milliseconds(10);
-    HealthMonitor mon(cfg);
+    HealthMonitor mon;
 
+    // The update deadline is 2000 ms; only an update in flight past
+    // it trips the watchdog.
     auto t0 = HealthMonitor::Clock::now();
     mon.beginUpdate(t0);
     EXPECT_FALSE(mon.watchdogExpired(t0));
+    EXPECT_FALSE(
+        mon.watchdogExpired(t0 + std::chrono::milliseconds(2000)));
     EXPECT_TRUE(
-        mon.watchdogExpired(t0 + std::chrono::milliseconds(11)));
+        mon.watchdogExpired(t0 + std::chrono::milliseconds(2001)));
 
     // A watchdog trip in the signal sample jumps straight to
     // Quarantined, no streak required.
@@ -283,14 +262,12 @@ TEST(HealthMonitor, WatchdogBypassesHysteresis)
 
     mon.endUpdate();
     EXPECT_FALSE(mon.watchdogExpired(
-        t0 + std::chrono::milliseconds(1000)));
+        t0 + std::chrono::milliseconds(5000)));
 }
 
 TEST(HealthMonitor, CapacityPressureArmsResizeAfterStreak)
 {
-    MonitorConfig cfg;
-    cfg.resizeAfter = 3;
-    HealthMonitor mon(cfg);
+    HealthMonitor mon;   // A Resize arms after 3 pressure samples.
 
     HealthSignals pressure;
     pressure.spillOccupancy = 0.9;   // >= spillWarn, < spillCritical.
@@ -317,10 +294,9 @@ TEST(HealthMonitor, CapacityPressureArmsResizeAfterStreak)
 
 TEST(HealthMonitor, ResizeCooldownSuppressesImmediateRearm)
 {
-    MonitorConfig cfg;
-    cfg.resizeAfter = 3;
-    cfg.resizeCooldown = 4;
-    HealthMonitor mon(cfg);
+    // A Resize arms after 3 pressure samples; 25 cooldown samples
+    // follow before another can arm.
+    HealthMonitor mon;
 
     HealthSignals pressure;
     pressure.setupRetries = 1;   // Capacity pressure via retry signal.
@@ -332,7 +308,7 @@ TEST(HealthMonitor, ResizeCooldownSuppressesImmediateRearm)
     // The rebuild's own turbulence (setup retries, stale occupancy)
     // keeps the pressure signal hot; the cooldown keeps those samples
     // from arming a second rebuild on top of the first.
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < 25; ++i) {
         mon.sample(pressure);
         EXPECT_NE(mon.takeAction(), RecoveryAction::Resize);
     }
@@ -340,6 +316,50 @@ TEST(HealthMonitor, ResizeCooldownSuppressesImmediateRearm)
     // Cooldown spent and pressure still sustained: re-arm.
     mon.sample(pressure);
     EXPECT_EQ(mon.takeAction(), RecoveryAction::Resize);
+}
+
+// ---- Health-signal sampler -------------------------------------------------
+
+TEST(HealthSignals, SampleReportsOccupancyAndDeltas)
+{
+    // Starved cells and a small spill TCAM: groups spill, the TCAM
+    // overflows, and the rest land in the software slow path.
+    ChiselConfig config;
+    config.minCellCapacity = 8;
+    config.capacityHeadroom = 0.01;
+    config.spillCapacity = 16;
+    RoutingTable table = generateScaledTable(3000, 32, 0x71);
+    ChiselEngine engine(table, config);
+    ASSERT_GT(engine.spillCount(), 0u);
+    ASSERT_GT(engine.robustness().tcamOverflows, 0u);
+
+    RobustnessCounters baseline;
+    HealthSignals s = sampleHealthSignals(engine, baseline);
+    EXPECT_DOUBLE_EQ(s.spillOccupancy,
+                     double(engine.spillCount()) / 16.0);
+    EXPECT_DOUBLE_EQ(s.slowPathOccupancy,
+                     double(engine.slowPathCount()) /
+                         double(config.slowPathCapacity));
+    EXPECT_EQ(s.tcamOverflows, engine.robustness().tcamOverflows);
+    EXPECT_FALSE(s.watchdogExpired);   // The monitor's owner sets it.
+
+    // Unchanged engine: occupancies repeat, every delta reads zero.
+    HealthSignals again = sampleHealthSignals(engine, baseline);
+    EXPECT_DOUBLE_EQ(again.spillOccupancy, s.spillOccupancy);
+    EXPECT_EQ(again.tcamOverflows, 0u);
+    EXPECT_EQ(again.setupRetries, 0u);
+    EXPECT_EQ(again.parityRecoveries, 0u);
+    EXPECT_EQ(again.slowPathRejected, 0u);
+
+    // Further overflows report only what happened since the sample.
+    uint64_t before = engine.robustness().tcamOverflows;
+    RoutingTable more = generateScaledTable(500, 32, 0x72);
+    for (const Route &r : more.routes())
+        engine.announce(r.prefix, r.nextHop);
+    uint64_t after = engine.robustness().tcamOverflows;
+    ASSERT_GT(after, before);
+    EXPECT_EQ(sampleHealthSignals(engine, baseline).tcamOverflows,
+              after - before);
 }
 
 // ---- Engine dirty-retention budget -----------------------------------------

@@ -4,8 +4,8 @@
  * feed, CRC/length/trailing-byte poisoning), server robustness rules
  * (idle-timeout and write-stall disconnects, bounded output queue
  * with backpressure, shed-before-queue under induced health states,
- * admission-token metering, ack-implies-durable under a torn
- * journal), client retry/backoff/reconnect behaviour, and the
+ * ack-implies-durable under a torn journal, un-acked updates without
+ * one), client retry/backoff/reconnect behaviour, and the
  * graceful-drain reply flush.  Every service test runs against a
  * one-shard and a four-shard plane.
  */
@@ -402,6 +402,19 @@ TEST_P(NetService, UpdatesApplyAndAckDurably)
     ASSERT_EQ(l.status, CallStatus::Ok);
     EXPECT_TRUE(l.results[0].found);
     EXPECT_EQ(l.results[0].nextHop, 777u);
+
+    // Without a persistDir there is no durable history to promise:
+    // the update applies but goes un-acked.
+    Harness volatileHarness(GetParam());
+    ASSERT_TRUE(volatileHarness.service->start());
+    ServiceClient volatileClient(volatileHarness.clientOptions());
+    r = volatileClient.update({u});
+    ASSERT_EQ(r.status, CallStatus::Ok);
+    ASSERT_EQ(r.acks.size(), 1u);
+    EXPECT_FALSE(r.acks[0].acked);
+    l = volatileClient.lookup({Key128::fromIpv4(0xC0A80001u)});
+    ASSERT_EQ(l.status, CallStatus::Ok);
+    EXPECT_EQ(l.results[0].nextHop, 777u);
 }
 
 TEST_P(NetService, TornJournalWriteNeverAcks)
@@ -508,30 +521,6 @@ TEST_P(NetService, InducedHealthExpires)
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     EXPECT_EQ(client.lookup({Key128::fromIpv4(1u)}).status,
               CallStatus::Ok);
-}
-
-TEST_P(NetService, AdmissionTokensMeterUpdatesWhileHealthy)
-{
-    ServiceOptions sopts;
-    sopts.admission.enabled = true;
-    sopts.admission.announceTokensPerSec = 0.001;
-    sopts.admission.tokenBurst = 2.0;
-    Harness h(GetParam(), {}, sopts);
-    ASSERT_TRUE(h.service->start());
-    ServiceClient client(h.clientOptions(/*attempts=*/1));
-
-    // The burst admits two announces; the third is shed even though
-    // the plane is perfectly Healthy.  Without a persistDir there is
-    // no durable history to promise, so admitted updates go un-acked.
-    net::UpdateCallResult first =
-        client.update({announceOf(0xC0A80000u, 16, 1)});
-    EXPECT_EQ(first.status, CallStatus::Ok);
-    ASSERT_EQ(first.acks.size(), 1u);
-    EXPECT_FALSE(first.acks[0].acked);
-    EXPECT_EQ(client.update({announceOf(0xC0A90000u, 16, 2)}).status,
-              CallStatus::Ok);
-    EXPECT_EQ(client.update({announceOf(0xC0AA0000u, 16, 3)}).status,
-              CallStatus::Overloaded);
 }
 
 // ---- Connection deadlines and backpressure ---------------------------
