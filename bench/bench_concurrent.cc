@@ -1,8 +1,9 @@
 /**
  * @file
- * Concurrent lookup throughput: ConcurrentChisel under 1/2/4/8 reader
- * threads, with and without a live writer replaying a synthetic BGP
- * update feed (docs/concurrency.md).
+ * Concurrent lookup throughput: the serving plane (a one-shard
+ * ShardedChisel) under 1/2/4/8 reader threads, with and without a
+ * live writer replaying a synthetic BGP update feed
+ * (docs/concurrency.md).
  *
  * The paper's pipeline serves a lookup every cycle regardless of
  * control-plane activity; the property this harness measures is the
@@ -24,9 +25,10 @@
 #include <thread>
 #include <vector>
 
-#include "concurrent/concurrent_engine.hh"
+#include "obs/introspect.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 #include "sim/report.hh"
 #include "telemetry/cli.hh"
 #include "telemetry/metrics.hh"
@@ -34,7 +36,6 @@
 namespace {
 
 using namespace chisel;
-using concurrent::ConcurrentChisel;
 
 struct RunResult
 {
@@ -48,14 +49,14 @@ struct RunResult
  * and return the aggregate lookup rate.
  */
 RunResult
-run(ConcurrentChisel &engine, const std::vector<Key128> &keys,
+run(shard::ShardedChisel &plane, const std::vector<Key128> &keys,
     unsigned readers, bool live_writer,
     const std::vector<Update> &updates,
     std::chrono::milliseconds duration)
 {
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> lookups{0};
-    uint64_t updatesBefore = engine.updatesApplied();
+    uint64_t updatesBefore = plane.updatesApplied();
 
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < readers; ++t) {
@@ -63,7 +64,7 @@ run(ConcurrentChisel &engine, const std::vector<Key128> &keys,
             uint64_t i = t;
             uint64_t local = 0;
             while (!stop.load(std::memory_order_acquire)) {
-                engine.lookup(keys[i++ % keys.size()]);
+                plane.lookup(keys[i++ % keys.size()]);
                 ++local;
             }
             lookups.fetch_add(local, std::memory_order_relaxed);
@@ -75,7 +76,7 @@ run(ConcurrentChisel &engine, const std::vector<Key128> &keys,
         writer = std::thread([&] {
             size_t i = 0;
             while (!stop.load(std::memory_order_acquire)) {
-                engine.apply(updates[i++ % updates.size()]);
+                plane.apply(updates[i++ % updates.size()]);
                 // ~10k updates/s: an aggressive BGP storm, orders of
                 // magnitude above steady-state feeds.
                 std::this_thread::sleep_for(
@@ -97,7 +98,7 @@ run(ConcurrentChisel &engine, const std::vector<Key128> &keys,
 
     RunResult r;
     r.lookupsPerSec = static_cast<double>(lookups.load()) / elapsed;
-    r.updatesApplied = engine.updatesApplied() - updatesBefore;
+    r.updatesApplied = plane.updatesApplied() - updatesBefore;
     return r;
 }
 
@@ -132,8 +133,11 @@ main(int argc, char **argv)
     UpdateTraceGenerator gen(table, TraceProfile{}, 32, 0x702);
     std::vector<Update> updates = gen.generate(20000);
 
-    ConcurrentChisel engine(table);
-    session.attachIntrospection(engine);
+    shard::ShardedOptions popts;
+    popts.shards = 1;
+    shard::ShardedChisel plane(table, popts);
+    if (session.introspection() != nullptr)
+        session.introspection()->attachShards(&plane);
 
     Report report("Concurrent lookup throughput "
                   "(wait-free readers, one writer)",
@@ -144,7 +148,7 @@ main(int argc, char **argv)
     for (unsigned readers : {1u, 2u, 4u, 8u}) {
         for (bool live_writer : {false, true}) {
             RunResult r =
-                run(engine, keys, readers, live_writer, updates, duration);
+                run(plane, keys, readers, live_writer, updates, duration);
             if (readers == 1 && !live_writer)
                 baseline = r.lookupsPerSec;
             double speedup =
@@ -179,7 +183,7 @@ main(int argc, char **argv)
                           : "");
 
     // Flushes the metrics JSON and flight dump, and stops the
-    // introspection server before the engines leave scope.
+    // introspection server before the plane leaves scope.
     session.finish();
     return 0;
 }

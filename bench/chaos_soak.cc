@@ -1,14 +1,15 @@
 /**
  * @file
- * Chaos soak: a flap storm through the synchronous update path with
- * EVERY registered fault point armed, while the health-state machine
- * runs recovery actions and reader threads hammer lookups
+ * Chaos soak: a flap storm through the serving plane (a one-shard
+ * ShardedChisel, the shape the RPC service runs) with EVERY
+ * registered fault point armed, while the shard's health-state
+ * machine runs recovery actions and reader threads hammer lookups
  * (docs/robustness.md).
  *
  * The run passes only if, after the storm ends and the machine is
  * driven back to Healthy:
  *
- *  - the engine holds exactly the truth table's routes (zero lost,
+ *  - the shard holds exactly the truth table's routes (zero lost,
  *    zero phantom) and agrees with a binary-trie oracle on a random
  *    key sample, matched length included (persist::auditEngine);
  *  - the dirty-group retention budget was never exceeded between
@@ -29,13 +30,14 @@
 #include <thread>
 #include <vector>
 
-#include "concurrent/concurrent_engine.hh"
 #include "fault/fault.hh"
+#include "obs/introspect.hh"
 #include "persist/journal.hh"
 #include "persist/recovery.hh"
 #include "persist/snapshot.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 #include "soak.hh"
 #include "tcam/tcam.hh"
 #include "telemetry/cli.hh"
@@ -44,8 +46,6 @@
 namespace {
 
 using namespace chisel;
-using concurrent::ConcurrentChisel;
-using concurrent::ConcurrentOptions;
 using soak::check;
 
 } // anonymous namespace
@@ -67,8 +67,8 @@ main(int argc, char **argv)
     uint64_t seed = 0xC0A5;
     telemetry::FlagTable flags(
         "chaos_soak",
-        "Flap storm through a fault-injected concurrent engine with "
-        "a full recovery-ladder audit.");
+        "Flap storm through a fault-injected one-shard serving plane "
+        "with a full recovery-ladder audit.");
     flags.sizeFlag("updates", "flap-storm length (default 10000)",
                    &n_updates)
         .sizeFlag("routes", "table size (default 5000)", &n_routes)
@@ -118,15 +118,18 @@ main(int argc, char **argv)
     inj.arm(fault::FaultPoint::JournalTornWrite, 1.0, 1);
     inj.arm(fault::FaultPoint::SnapshotCorrupt, 1.0, 1);
 
-    ChiselConfig config;
-    config.dirtyBudgetPerCell = 512;
+    shard::ShardedOptions popts;
+    popts.shards = 1;
+    popts.config.dirtyBudgetPerCell = 512;
+    popts.engine.healthInterval = std::chrono::milliseconds(2);
+    popts.engine.controlFaultInjector = &inj;
+    const ChiselConfig &config = popts.config;
 
-    ConcurrentOptions copts;
-    copts.healthInterval = std::chrono::milliseconds(2);
-    copts.controlFaultInjector = &inj;
-
-    ConcurrentChisel engine(table, config, copts);
-    session.attachIntrospection(engine);
+    shard::ShardedChisel plane(table, popts);
+    // The shard's own surfaces: scrub, health tick, monitor, audit.
+    auto &engine = plane.shardEngine(0);
+    if (session.introspection() != nullptr)
+        session.introspection()->attachShards(&plane);
 
     // Reader threads run through storm, faults and recovery actions;
     // lookups are wait-free, so they never see a table mid-rebuild.
@@ -137,7 +140,7 @@ main(int argc, char **argv)
         readers.emplace_back([&, t] {
             uint64_t i = t, local = 0;
             while (!stop.load(std::memory_order_acquire)) {
-                engine.lookup(keys[i++ % keys.size()]);
+                plane.lookup(keys[i++ % keys.size()]);
                 ++local;
             }
             lookups.fetch_add(local, std::memory_order_relaxed);
@@ -148,7 +151,7 @@ main(int argc, char **argv)
     {
         fault::ScopedInjector scope(&inj);
         for (const Update &u : storm)
-            engine.apply(u);
+            plane.apply(u);
     }
 
     // ---- Side drills (driver-thread injector) ----------------------
@@ -251,8 +254,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(rc.suppressedFlaps));
     std::printf("health: end state %s; entered stressed %llu, "
                 "degraded %llu, quarantined %llu, recovering %llu; "
-                "actions purge %llu, scrub %llu, resetup %llu, "
-                "restore %llu\n",
+                "actions purge %llu, scrub %llu, resetup %llu\n",
                 mon.stateName(),
                 static_cast<unsigned long long>(
                     mon.entered(health::HealthState::Stressed)),
@@ -267,9 +269,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     mon.actionsTaken(health::RecoveryAction::Scrub)),
                 static_cast<unsigned long long>(mon.actionsTaken(
-                    health::RecoveryAction::Resetup)),
-                static_cast<unsigned long long>(mon.actionsTaken(
-                    health::RecoveryAction::SnapshotRestore)));
+                    health::RecoveryAction::Resetup)));
     std::printf("lookups served during soak: %llu\n",
                 static_cast<unsigned long long>(lookups.load()));
 

@@ -4,10 +4,12 @@
  * (docs/robustness.md, "Lifecycle: TTL expiry and live resize").
  *
  * A growth-heavy Zipf churn storm (most updates announce previously
- * unseen prefixes) runs against a deliberately under-provisioned
- * engine with TTL expiry on, background GC journaling every Expire,
- * and the health monitor armed to execute capacity-driven live
- * resizes.  Engine fault points (setup failures, forced non-singleton
+ * unseen prefixes) runs against the serving plane — a one-shard
+ * ShardedChisel persisted through its own journal + snapshot lane —
+ * with a deliberately under-provisioned engine, TTL expiry on,
+ * background GC journaling every Expire, and the shard's health
+ * monitor armed to execute capacity-driven live resizes.  Engine
+ * fault points (setup failures, forced non-singleton
  * groups, TCAM overflow) stay armed throughout, so the pressure
  * signals fire the way a production incident would, not the way a
  * clean benchmark does.  Parity bit-flip faults are deliberately NOT
@@ -25,16 +27,19 @@
  * The storm runs until the engine has published at least two live
  * resizes and GC has retired entries, then audits:
  *
- *  - truth = initial table advanced through the journal (Announce
- *    adds; Withdraw AND Expire remove — GC is journal-visible), and
+ *  - truth = initial table advanced through the shard journal
+ *    (Announce adds; Withdraw AND Expire remove — GC is
+ *    journal-visible), and
  *    every truth route must be served with the right next hop (zero
  *    lost), with no extras (zero phantom: expired entries must not
  *    resolve);
  *  - a binary-trie oracle agrees on a random key sample, matched
  *    length included (all through persist::auditEngine);
- *  - a warm restart (recoverEngine with audit) replays the same
- *    journal — Expires and ResizeMarks included — to the same state,
- *    and answers the same key sample exactly.
+ *  - a warm restart — the storm plane destroyed, a second plane
+ *    opened on the same directory with its recovery audit on —
+ *    recovers from the shard snapshot with zero ladder fallbacks,
+ *    replays the journal tail (Expires and ResizeMarks included) to
+ *    the same state, and answers the same key sample exactly.
  *
  * Emits a chisel.churn.v1 JSON artifact; nonzero exit on any
  * violation, so CI runs this binary directly as its churn leg.
@@ -43,6 +48,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -50,13 +57,12 @@
 
 #include "common/clock.hh"
 #include "common/random.hh"
-#include "concurrent/concurrent_engine.hh"
-#include "core/resize.hh"
 #include "fault/fault.hh"
 #include "persist/journal.hh"
 #include "persist/recovery.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 #include "soak.hh"
 #include "telemetry/cli.hh"
 #include "telemetry/metrics.hh"
@@ -64,13 +70,12 @@
 namespace {
 
 using namespace chisel;
-using concurrent::ConcurrentChisel;
-using concurrent::ConcurrentOptions;
+using shard::ShardedChisel;
 using soak::check;
 
 struct SoakOptions
 {
-    std::string journal = "churn_soak.journal";
+    std::string dir = "churn_soak.d";
     std::string json = "churn_soak.json";
     size_t routes = 512;            ///< Initial table (small: room to grow).
     size_t probes = 64;             ///< Pinned /32 canary routes.
@@ -97,16 +102,9 @@ soakConfig(const SoakOptions &o)
 int
 soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 {
-    std::remove(o.journal.c_str());
+    std::filesystem::remove_all(o.dir);
 
     RoutingTable table = generateScaledTable(o.routes, 32, o.seed);
-    ChiselConfig config = soakConfig(o);
-
-    // The journal identity is the elastic fingerprint: live resizes
-    // change capacities mid-stream, and the journal must remain THIS
-    // engine's history across every one of them.
-    persist::UpdateJournal journal(o.journal, elasticFingerprint(config),
-                                   /*fsync_every=*/16);
 
     // Pinned probe routes: random /32 addresses not present in the
     // initial table.  kTtlNever exempts them from GC, so any reader
@@ -132,31 +130,27 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     inj.arm(fault::FaultPoint::ForceNonSingleton, 0.2, 100);
     inj.arm(fault::FaultPoint::TcamOverflow, 0.1, 20);
 
-    ConcurrentOptions copts;
-    copts.healthInterval = std::chrono::milliseconds(2);
-    copts.gcInterval = std::chrono::milliseconds(5);
+    shard::ShardedOptions popts;
+    popts.shards = 1;
+    popts.config = soakConfig(o);
+    popts.persistDir = o.dir;
+    popts.engine.healthInterval = std::chrono::milliseconds(2);
+    popts.engine.gcInterval = std::chrono::milliseconds(5);
     // Logical TTL time, advanced by the storm loop: the audit freezes
     // the clock simply by not advancing it, so nothing expires between
     // the journal scan and the engine probe — and the run is
     // compressed (each storm batch = 25 logical ms) and repeatable.
-    copts.ttlWallClock = false;
-    copts.controlFaultInjector = &inj;
-    copts.onJournalUpdate = [&journal](const Update &u) {
-        return journal.append(u);
-    };
-    copts.onJournalOutcome = [&journal](uint64_t seq,
-                                        const UpdateOutcome &out) {
-        journal.appendOutcome(seq, out);
-    };
-    copts.onResize = [&journal](const ChiselConfig &grown, uint64_t) {
-        journal.appendResizeMark(grown);
-    };
-    ConcurrentChisel engine(table, config, copts);
+    popts.engine.ttlWallClock = false;
+    popts.engine.controlFaultInjector = &inj;
+    auto plane = std::make_unique<ShardedChisel>(table, popts);
+    // The shard's own surfaces: resizes, expiries, find, audit.
+    auto &engine = plane->shardEngine(0);
+    const std::string journalPath = plane->journal(0)->path();
 
     // Announce the probes through the normal (journaled) path, then
     // verify them once before unleashing the storm.
     for (size_t i = 0; i < probes.size(); ++i)
-        engine.announce(probes[i], probeHop(i), kTtlNever);
+        plane->announce(probes[i], probeHop(i), kTtlNever);
     for (size_t i = 0; i < probes.size(); ++i) {
         auto nh = engine.find(probes[i]);
         if (!nh || *nh != probeHop(i)) {
@@ -188,7 +182,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
             while (!stopReaders.load(std::memory_order_acquire)) {
                 const Prefix &p = probes[i % probes.size()];
                 concurrent::TaggedLookup r =
-                    engine.lookupTagged(p.bits());
+                    plane->lookupTagged(p.bits());
                 if (!r.result.found ||
                     r.result.nextHop != probeHop(i % probes.size()))
                     ++gaps;
@@ -240,10 +234,10 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
             Update u = gen.next();
             if (probeSet.count(u.prefix))
                 continue;   // Never let the storm touch a canary.
-            engine.apply(u);
+            plane->apply(u);
             ++sent;
             if (sent % 64 == 0) {
-                engine.advanceTtlClock(25);
+                plane->advanceTtlClockAll(25);
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
             }
             if (sent % 8192 == 0)
@@ -259,13 +253,12 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     // Settle: with the logical clock now frozen, collect every
     // already-due entry so the journal holds the complete Expire
     // history before the audit reads it.
-    while (engine.gcTick() != 0) {}
+    while (plane->gcTickAll() != 0) {}
     double duration_ms = double(monotonicNowNs() - t0) / 1e6;
 
     stopReaders.store(true, std::memory_order_release);
     for (std::thread &r : readers)
         r.join();
-    journal.sync();
 
     std::printf("storm: %llu sent in %.0f ms; %llu resizes, %llu "
                 "expired, %llu slow-path drained, %zu routes live\n",
@@ -276,13 +269,17 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
                     engine.slowPathDrained()),
                 engine.routeCount());
 
-    // ---- Audit 1: journal truth vs the live engine ------------------
+    // ---- Audit 1: journal truth vs the live shard -------------------
     //
     // Truth removes a route only on a journaled Withdraw or Expire:
     // a not-yet-due entry is in both truth and engine, an expired one
     // is in neither, and any disagreement is lost state or a phantom.
-    persist::JournalScan scan =
-        persist::scanJournal(o.journal, elasticFingerprint(config));
+    // The shard identity survives live resizes, so the journal stays
+    // THIS shard's history across every one of them.
+    persist::JournalScan scan = persist::scanJournal(
+        journalPath, shard::shardJournalFingerprint(
+                         popts.config, 0, 1, popts.partitionBits,
+                         popts.hashSeed));
     RoutingTable truth = persist::journalTruth(table, scan);
     uint64_t expireRecords = 0, resizeMarks = 0;
     for (const persist::JournalRecord &rec : scan.records) {
@@ -298,25 +295,39 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     persist::PlaneAudit audit = persist::auditEngine(engine, truth, keys);
     const uint64_t lost = audit.lost();
 
+    // What the storm plane did, read before it is destroyed.
+    const uint64_t resizes = engine.resizes();
+    const uint64_t expired = engine.expired();
+    const uint64_t drained = engine.slowPathDrained();
+    const bool drainedBack =
+        drained > 0 || engine.robustness().slowPathDrains == 0;
+    const uint64_t applied = plane->updatesApplied();
+    const size_t routeCount = plane->routeCount();
+    const size_t spillCapacity = engine.config().spillCapacity;
+    plane.reset();
+
     // ---- Audit 2: warm restart across Expires and ResizeMarks -------
-    persist::RecoveryOptions ropts;
-    ropts.initialTable = table;
-    ropts.config = config;   // The PRE-resize config: the elastic
-                             // fingerprint must still claim the journal.
-    ropts.journalPath = o.journal;
+    //
+    // A second plane on the same directory, like shard_soak's audit
+    // plane: no periodic duties or fault injector, recovery audit on,
+    // and the PRE-resize config the journal identity was made from.
+    shard::ShardedOptions ropts = popts;
+    ropts.engine = {};
     ropts.audit = true;
-    persist::RecoveryReport rec = persist::recoverEngine(ropts);
-    // The recovery audit checks routes only; the restarted engine
-    // must also answer the key sample exactly, matched length included.
+    plane = std::make_unique<ShardedChisel>(table, ropts);
+    const shard::ShardRecovery rec = plane->recovery()[0];
+    // The recovery audit checks routes only; the restarted shard must
+    // also answer the key sample exactly, matched length included.
     const bool restartExact =
         rec.auditRan && rec.auditPassed &&
-        persist::auditEngine(*rec.engine, truth, keys).passed();
+        persist::auditEngine(plane->shardEngine(0), truth, keys).passed();
+    plane.reset();
 
     // ---- Verdict ----------------------------------------------------
     std::printf("verdict:\n");
-    check(engine.resizes() >= o.minResizes,
+    check(resizes >= o.minResizes,
           "storm forced the required live resizes");
-    check(engine.expired() > 0, "background GC retired entries");
+    check(expired > 0, "background GC retired entries");
     check(expireRecords > 0, "Expire records are journal-visible");
     check(resizeMarks >= o.minResizes,
           "every resize left a journal ResizeMark");
@@ -325,16 +336,17 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     check(lost == 0, "zero non-expired routes lost");
     check(audit.phantom == 0, "zero phantom routes (expired stay dead)");
     check(audit.oracleMismatches == 0, "oracle agreement on key sample");
-    check(engine.slowPathDrained() > 0 ||
-              engine.robustness().slowPathDrains == 0,
-          "slow-path residents drained back on resize");
+    check(drainedBack, "slow-path residents drained back on resize");
+    check(scan.headerOk, "journal valid across the resizes");
+    check(rec.source == persist::RecoverySource::Snapshot &&
+              rec.fallbacks == 0,
+          "warm restart from the shard snapshot, zero fallbacks");
     check(restartExact, "warm restart replays to the identical state");
-    check(rec.journalHeaderOk, "journal valid across the resizes");
 
     if (session.enabled()) {
         telemetry::MetricRegistry &registry = session.registry();
-        registry.gauge("churn.resizes").set(double(engine.resizes()));
-        registry.gauge("churn.expired").set(double(engine.expired()));
+        registry.gauge("churn.resizes").set(double(resizes));
+        registry.gauge("churn.expired").set(double(expired));
         registry.gauge("churn.probe_gaps")
             .set(double(probeGaps.load()));
         registry.gauge("churn.lost").set(double(lost));
@@ -347,12 +359,12 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("schema", "chisel.churn.v1");
         w.member("duration_ms", duration_ms);
         w.member("updates_posted", sent);
-        w.member("updates_applied", engine.updatesApplied());
-        w.member("resizes", engine.resizes());
+        w.member("updates_applied", applied);
+        w.member("resizes", resizes);
         w.member("resize_marks", resizeMarks);
-        w.member("expired", engine.expired());
+        w.member("expired", expired);
         w.member("expire_records", expireRecords);
-        w.member("slowpath_drained", engine.slowPathDrained());
+        w.member("slowpath_drained", drained);
         w.member("probe_checks", probeChecks.load());
         w.member("probe_gaps", probeGaps.load());
         w.member("lost", lost);
@@ -360,14 +372,16 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("oracle_mismatches", audit.oracleMismatches);
         w.member("journal_records", uint64_t(scan.records.size()));
         w.member("journal_last_seq", scan.lastSeq);
-        w.member("route_count", uint64_t(engine.routeCount()));
-        w.member("final_spill_capacity",
-                 uint64_t(engine.config().spillCapacity));
+        w.member("route_count", uint64_t(routeCount));
+        w.member("final_spill_capacity", uint64_t(spillCapacity));
         w.member("replay_audit_passed", restartExact);
+        w.member("restart_source",
+                 persist::recoverySourceName(rec.source));
+        w.member("restart_fallbacks", rec.fallbacks);
         w.endObject();
     });
 
-    std::remove(o.journal.c_str());
+    std::filesystem::remove_all(o.dir);
     return soak::verdict("churn soak");
 }
 
@@ -386,8 +400,8 @@ main(int argc, char **argv)
     telemetry::FlagTable flags(
         "churn_soak",
         "TTL churn + live-resize drill: storm, GC, resize, audit.");
-    flags.stringFlag("journal", "journal path (deleted afterwards)",
-                     &o.journal)
+    flags.stringFlag("dir", "persist directory (deleted afterwards)",
+                     &o.dir)
         .stringFlag("json", "chisel.churn.v1 report path", &o.json)
         .sizeFlag("routes", "initial table size (default 512)",
                   &o.routes)

@@ -64,7 +64,6 @@
 
 #include "common/clock.hh"
 #include "common/random.hh"
-#include "concurrent/concurrent_engine.hh"
 #include "fault/fault.hh"
 #include "health/monitor.hh"
 #include "net/client.hh"
@@ -86,7 +85,6 @@
 namespace {
 
 using namespace chisel;
-using concurrent::ConcurrentOptions;
 using shard::ShardedChisel;
 using shard::ShardedOptions;
 using shard::ShardSelector;

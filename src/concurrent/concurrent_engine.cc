@@ -427,10 +427,6 @@ ConcurrentChisel::executeAction(health::RecoveryAction action)
       case health::RecoveryAction::Resetup:
         resetup();
         return true;
-      case health::RecoveryAction::SnapshotRestore:
-        if (options_.recoverySnapshotPath.empty())
-            return false;   // No known-good image: rung unavailable.
-        return restoreFromSnapshot(options_.recoverySnapshotPath);
       case health::RecoveryAction::Resize:
         return resizeNow();
       case health::RecoveryAction::FailedOver:

@@ -86,13 +86,6 @@ struct ConcurrentOptions
     std::chrono::milliseconds healthInterval{0};
 
     /**
-     * Known-good snapshot backing the SnapshotRestore ladder rung;
-     * empty, that rung reports failure and the ladder re-escalates
-     * through Resetup.
-     */
-    std::string recoverySnapshotPath;
-
-    /**
      * When non-null, installed thread-locally in the control thread,
      * so chaos tests inject faults into the periodic GC and health
      * actions without arming the reader threads.

@@ -76,7 +76,6 @@ recoveryActionName(RecoveryAction a)
       case RecoveryAction::PurgeDirty: return "purge_dirty";
       case RecoveryAction::Scrub: return "scrub";
       case RecoveryAction::Resetup: return "resetup";
-      case RecoveryAction::SnapshotRestore: return "snapshot_restore";
       case RecoveryAction::Resize: return "resize";
       case RecoveryAction::FailedOver: return "failed_over";
       case RecoveryAction::kCount: break;
@@ -161,12 +160,10 @@ HealthMonitor::transition(HealthState to)
         break;
       case HealthState::Quarantined:
         pending_ = RecoveryAction::Resetup;
-        quarantineRung_ = 1;
         break;
       case HealthState::Healthy:
       case HealthState::Recovering:
         pending_ = RecoveryAction::None;
-        quarantineRung_ = 0;
         break;
       case HealthState::kCount:
         break;
@@ -219,14 +216,13 @@ HealthMonitor::sample(const HealthSignals &signals)
         if (okStreak_ >= 1) {
             transition(HealthState::Recovering);
         } else if (stateCrit_ >= kQuarantineAfter) {
-            // Still critical after the last action: escalate to the
-            // next rung (resetup, then snapshot restore; the ladder
-            // then repeats from resetup rather than giving up).
+            // Still critical after the last resetup: run another
+            // rather than give up.  Resetup rebuilds from the live
+            // route set, so it never drops an applied update; a
+            // persisted shard's restore from snapshot plus journal
+            // tail is the warm restart, not a live rung.
             stateCrit_ = 0;
-            pending_ = quarantineRung_ == 1
-                           ? RecoveryAction::SnapshotRestore
-                           : RecoveryAction::Resetup;
-            quarantineRung_ = quarantineRung_ == 1 ? 0 : 1;
+            pending_ = RecoveryAction::Resetup;
         }
         break;
       case HealthState::Recovering:
@@ -277,17 +273,6 @@ void
 HealthMonitor::actionCompleted(RecoveryAction action, bool success)
 {
     CHISEL_FLIGHT_EVENT(RecoveryAction, action, success ? 1 : 0, 0);
-    if (success || state() != HealthState::Quarantined)
-        return;
-    // A failed/skipped quarantine action arms the next rung at once
-    // rather than waiting out another critical streak.
-    if (action == RecoveryAction::Resetup && quarantineRung_ == 1) {
-        pending_ = RecoveryAction::SnapshotRestore;
-        quarantineRung_ = 0;
-    } else if (action == RecoveryAction::SnapshotRestore) {
-        pending_ = RecoveryAction::Resetup;
-        quarantineRung_ = 1;
-    }
 }
 
 void

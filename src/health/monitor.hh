@@ -18,7 +18,7 @@
  *     state entered   action
  *     Stressed        purge dirty groups (reclaim Filter slots)
  *     Degraded        full parity scrub
- *     Quarantined     resetup; if still quarantined, snapshot restore
+ *     Quarantined     resetup; re-armed while still critical
  *
  * The monitor only *recommends*; the owner (ConcurrentChisel, or the
  * chaos harness directly) executes actions under its own write
@@ -67,7 +67,6 @@ enum class RecoveryAction : uint8_t
     PurgeDirty,       ///< ChiselEngine::purgeDirty on both images.
     Scrub,            ///< Full parity scrub (ConcurrentChisel::scrubNow).
     Resetup,          ///< Rebuild both images from the live route set.
-    SnapshotRestore,  ///< Last resort: reload a known-good snapshot.
     Resize,           ///< Capacity pressure: re-plan a grown engine
                       ///< off the serving path and pointer-flip it in
                       ///< (ConcurrentChisel::resizeNow).  Armed by the
@@ -145,10 +144,7 @@ class HealthMonitor
      */
     RecoveryAction takeAction();
 
-    /**
-     * Report an executed action.  A failed (or skipped) action in
-     * Quarantined re-arms the next rung of the ladder.
-     */
+    /** Report an executed action (a flight record). */
     void actionCompleted(RecoveryAction action, bool success);
 
     /**
@@ -194,8 +190,6 @@ class HealthMonitor
     unsigned capacityCooldown_ = 0;
 
     RecoveryAction pending_ = RecoveryAction::None;
-    /** Next Quarantined-ladder rung: 0 = Resetup, 1 = SnapshotRestore. */
-    unsigned quarantineRung_ = 0;
 
     uint64_t samples_ = 0;
     uint64_t transitions_ = 0;

@@ -8,9 +8,7 @@
 
 #include "common/logging.hh"
 #include "net/socket.hh"
-#include "concurrent/concurrent_engine.hh"
 #include "health/monitor.hh"
-#include "replica/follower.hh"
 #include "shard/sharded.hh"
 #include "telemetry/flight.hh"
 #include "telemetry/json.hh"
@@ -190,7 +188,7 @@ IntrospectionServer::index() const
     return {200, "text/plain; charset=utf-8",
             "chisel introspection\n"
             "  /metrics  Prometheus text exposition\n"
-            "  /healthz  health state + engine gauges (JSON)\n"
+            "  /healthz  plane health + per-shard gauges (JSON)\n"
             "  /vars     metrics JSON snapshot\n"
             "  /flight   recent flight events (JSON, ?n=<count>)\n"};
 }
@@ -212,88 +210,50 @@ IntrospectionServer::metrics() const
 IntrospectResponse
 IntrospectionServer::healthz() const
 {
-    const concurrent::ConcurrentChisel *engine =
-        engine_.load(std::memory_order_acquire);
     const shard::ShardedChisel *sharded =
         sharded_.load(std::memory_order_acquire);
+    if (sharded == nullptr)
+        return {200, "application/json",
+                "{\"state\": \"unknown\", \"attached\": false}\n"};
     std::ostringstream os;
     telemetry::JsonWriter w(os, true);
     w.beginObject();
-    int status = 200;
-    if (sharded != nullptr) {
-        // Containment rule: a single sick shard sheds only its own
-        // keyspace slice (at the RPC layer), so the node-level probe
-        // goes red only when a majority of shards are sick and the
-        // node as a whole can no longer do useful work.
-        bool majority = sharded->majoritySick();
-        status = majority ? 503 : 200;
-        w.member("state",
-                 health::healthStateName(sharded->aggregateHealth()));
-        w.member("attached", true);
-        w.member("serving", !majority);
-        w.member("shard_count", uint64_t(sharded->shards()));
-        w.member("sick_shards", uint64_t(sharded->sickShards()));
-        w.member("routes", uint64_t(sharded->routeCount()));
-        w.key("shards");
-        w.beginArray();
-        for (size_t i = 0; i < sharded->shards(); ++i) {
-            shard::ShardStatus st = sharded->status(i);
-            w.beginObject();
-            w.member("shard", uint64_t(i));
-            w.member("state", health::healthStateName(st.state));
-            w.member("induced", st.induced);
-            w.member("serving", st.serving);
-            w.member("routes", uint64_t(st.routes));
-            w.member("generation", st.generation);
-            w.member("updates_applied", st.updatesApplied);
-            w.member("quarantine_entries", st.quarantineEntries);
-            w.member("last_seq", st.lastSeq);
-            w.endObject();
-        }
-        w.endArray();
-    } else if (engine == nullptr) {
-        w.member("state", "unknown");
-        w.member("attached", false);
-    } else {
-        health::HealthState state = engine->healthState();
-        bool serving = state != health::HealthState::Degraded &&
-                       state != health::HealthState::Quarantined;
-        status = serving ? 200 : 503;
-        w.member("state", health::healthStateName(state));
-        w.member("attached", true);
-        w.member("serving", serving);
-        w.member("generation", engine->generation());
-        w.member("updates_applied", engine->updatesApplied());
-        w.member("scrub_passes", engine->scrubPasses());
-        w.member("routes", uint64_t(engine->routeCount()));
-        w.member("dirty_groups", uint64_t(engine->dirtyCount()));
-        w.member("dirty_peak", uint64_t(engine->dirtyPeak()));
-    }
-    if (const replica::Follower *follower =
-            follower_.load(std::memory_order_acquire)) {
-        replica::FollowerStats rs = follower->stats();
-        // A standby that has not caught up must not take traffic; a
-        // promoted follower is the leader now and serves on its own
-        // engine health.
-        if (!rs.caughtUp)
-            status = 503;
-        w.key("replica");
+    // Containment rule: a single sick shard sheds only its own
+    // keyspace slice (at the RPC layer), so the node-level probe goes
+    // red only when a majority of shards are sick and the node as a
+    // whole can no longer do useful work.
+    bool majority = sharded->majoritySick();
+    w.member("state", health::healthStateName(sharded->aggregateHealth()));
+    w.member("attached", true);
+    w.member("serving", !majority);
+    w.member("shard_count", uint64_t(sharded->shards()));
+    w.member("sick_shards", uint64_t(sharded->sickShards()));
+    w.member("routes", uint64_t(sharded->routeCount()));
+    w.key("shards");
+    w.beginArray();
+    for (size_t i = 0; i < sharded->shards(); ++i) {
+        shard::ShardStatus st = sharded->status(i);
+        // Read here rather than in ShardStatus: the dirty gauges take
+        // the shard's writer lock, which publish() must not.
+        const auto &engine = sharded->shardEngine(i);
         w.beginObject();
-        w.member("caught_up", rs.caughtUp);
-        w.member("connected", rs.connected);
-        w.member("promoted", rs.promoted);
-        w.member("last_applied_seq", rs.lastAppliedSeq);
-        w.member("leader_last_seq", rs.leaderLastSeq);
-        w.member("lag_records", rs.lagRecords);
-        w.member("records_applied", rs.recordsApplied);
-        w.member("snapshots_installed", rs.snapshotsInstalled);
-        w.member("fence_rejects", rs.fenceRejects);
-        w.member("max_epoch_seen", rs.maxEpochSeen);
-        w.member("promoted_epoch", rs.promotedEpoch);
+        w.member("shard", uint64_t(i));
+        w.member("state", health::healthStateName(st.state));
+        w.member("induced", st.induced);
+        w.member("serving", st.serving);
+        w.member("routes", uint64_t(st.routes));
+        w.member("generation", st.generation);
+        w.member("updates_applied", st.updatesApplied);
+        w.member("quarantine_entries", st.quarantineEntries);
+        w.member("last_seq", st.lastSeq);
+        w.member("scrub_passes", engine.scrubPasses());
+        w.member("dirty_groups", uint64_t(engine.dirtyCount()));
+        w.member("dirty_peak", uint64_t(engine.dirtyPeak()));
         w.endObject();
     }
+    w.endArray();
     w.endObject();
-    return {status, "application/json", os.str()};
+    return {majority ? 503 : 200, "application/json", os.str()};
 }
 
 IntrospectResponse

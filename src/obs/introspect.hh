@@ -1,22 +1,17 @@
 /**
  * @file
  * Live introspection endpoint: a minimal, dependency-free HTTP/1.0
- * server that makes a running engine observable from the outside
- * (docs/observability.md).
+ * server that makes a running serving plane observable from the
+ * outside (docs/observability.md).
  *
  * Endpoints:
  *
  *     /          plain-text index of the endpoints below
  *     /metrics   MetricRegistry, Prometheus text exposition 0.0.4
- *     /healthz   health state + live engine gauges, JSON; the HTTP
- *                status degrades with the engine (200 while the
- *                state is Healthy/Stressed/Recovering, 503 once
- *                Degraded or Quarantined) so a plain HTTP check
- *                doubles as the liveness probe.  With a sharded
- *                dataplane attached the body adds a per-shard
- *                breakdown and the status follows the containment
- *                rule: 503 only when a majority of shards are sick
- *                (docs/sharding.md)
+ *     /healthz   plane health + one JSON entry per shard; 503 only
+ *                when a majority of shards are Degraded/Quarantined
+ *                (on a one-shard plane, that shard), so a plain HTTP
+ *                check doubles as the liveness probe
  *     /vars      MetricRegistry JSON snapshot (same schema as
  *                --metrics-json)
  *     /flight    recent flight-recorder events, JSON; ?n=<count>
@@ -30,8 +25,8 @@
  *
  * Thread-safety: the server thread only reads through the attached
  * sources' own thread-safe surfaces (atomic metric reads, seqlock'd
- * flight snapshots, ConcurrentChisel's serialized accessors), so it
- * can run while writer and reader threads hammer the engine.
+ * flight snapshots, the shards' serialized accessors), so it can run
+ * while writer and reader threads hammer the plane.
  */
 
 #ifndef CHISEL_OBS_INTROSPECT_HH
@@ -47,8 +42,6 @@ class MetricRegistry;
 class FlightRecorder;
 } // namespace chisel::telemetry
 
-namespace chisel::concurrent { class ConcurrentChisel; }
-namespace chisel::replica { class Follower; }
 namespace chisel::shard { class ShardedChisel; }
 
 namespace chisel::obs {
@@ -84,30 +77,11 @@ class IntrospectionServer
         flight_.store(flight, std::memory_order_release);
     }
 
-    void attachEngine(const concurrent::ConcurrentChisel *engine)
-    {
-        engine_.store(engine, std::memory_order_release);
-    }
-
     /**
-     * Expose a warm standby through /healthz: adds a "replica"
-     * section and degrades the HTTP status to 503 until the follower
-     * is caughtUp() — so a load balancer health check keeps traffic
-     * off a standby that is still replaying.
-     */
-    void attachFollower(const replica::Follower *follower)
-    {
-        follower_.store(follower, std::memory_order_release);
-    }
-
-    /**
-     * Expose a sharded dataplane through /healthz: adds a "shards"
-     * array with one entry per shard (state, serving, routes,
-     * generation, quarantine entries) and replaces the single-engine
-     * status rule with the containment rule — the HTTP status is 503
-     * only when a MAJORITY of shards are sick.  One quarantined shard
-     * keeps the probe green; its keyspace slice sheds at the RPC
-     * layer instead of the whole node being drained.
+     * Expose the serving plane through /healthz.  One quarantined
+     * shard of several keeps the probe green (the containment rule,
+     * docs/sharding.md): its keyspace slice sheds at the RPC layer
+     * instead of the whole node being drained.
      */
     void attachShards(const shard::ShardedChisel *sharded)
     {
@@ -153,8 +127,6 @@ class IntrospectionServer
 
     std::atomic<const telemetry::MetricRegistry *> registry_{nullptr};
     std::atomic<const telemetry::FlightRecorder *> flight_{nullptr};
-    std::atomic<const concurrent::ConcurrentChisel *> engine_{nullptr};
-    std::atomic<const replica::Follower *> follower_{nullptr};
     std::atomic<const shard::ShardedChisel *> sharded_{nullptr};
 
     int listenFd_ = -1;

@@ -27,9 +27,6 @@
  *    offering an older (or equal) epoch is answered with Fenced and
  *    dropped, so a revived stale leader can never write to a
  *    promoted follower.
- *
- * The follower serves /healthz 503 until caughtUp() (see
- * obs::IntrospectionServer::attachFollower).
  */
 
 #ifndef CHISEL_REPLICA_FOLLOWER_HH
@@ -175,7 +172,7 @@ class Follower
 
     /**
      * Ready to serve: promoted, or connected with replication lag
-     * within 64 records.  The /healthz gate.
+     * within 64 records.
      */
     bool caughtUp() const;
 

@@ -170,7 +170,6 @@ ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
     std::filesystem::create_directories(sh.dir);
     sh.journalPath = sh.dir + "/journal.log";
     sh.snapshotPath = sh.dir + "/snapshot.chs";
-    copts.recoverySnapshotPath = sh.snapshotPath;
 
     uint64_t fp = shardJournalFingerprint(
         options_.config, i, options_.shards, options_.partitionBits,
@@ -345,17 +344,25 @@ ShardedChisel::lastDurableSeq(size_t i) const
 // ---- Health and containment ------------------------------------------------
 
 health::HealthState
-ShardedChisel::shardHealth(size_t i) const
+ShardedChisel::activeOverride(size_t i) const
 {
     const Shard &sh = *shards_[i];
-    uint8_t induced = sh.inducedState.load(std::memory_order_acquire);
-    if (induced !=
-        static_cast<uint8_t>(health::HealthState::kCount)) {
-        uint64_t until = sh.inducedUntilNs.load(std::memory_order_acquire);
-        if (until == 0 || steadyNowNs() < until)
-            return static_cast<health::HealthState>(induced);
-    }
-    return sh.engine->healthState();
+    auto induced = static_cast<health::HealthState>(
+        sh.inducedState.load(std::memory_order_acquire));
+    uint64_t until = sh.inducedUntilNs.load(std::memory_order_acquire);
+    if (induced != health::HealthState::kCount && until != 0 &&
+        steadyNowNs() >= until)
+        return health::HealthState::kCount;   // Expired.
+    return induced;
+}
+
+health::HealthState
+ShardedChisel::shardHealth(size_t i) const
+{
+    health::HealthState induced = activeOverride(i);
+    return induced != health::HealthState::kCount
+               ? induced
+               : shards_[i]->engine->healthState();
 }
 
 void
@@ -433,20 +440,16 @@ ShardedChisel::status(size_t i) const
 {
     const Shard &sh = *shards_[i];
     ShardStatus st;
-    st.state = shardHealth(i);
-    st.induced = sh.inducedState.load(std::memory_order_acquire) !=
-                 static_cast<uint8_t>(health::HealthState::kCount);
+    health::HealthState induced = activeOverride(i);
+    st.induced = induced != health::HealthState::kCount;
+    st.state = st.induced ? induced : sh.engine->healthState();
     st.serving = !isSick(st.state);
     st.generation = sh.engine->generation();
     st.routes = sh.engine->routeCount();
     st.updatesApplied = sh.engine->updatesApplied();
-    st.expired = sh.engine->expired();
     st.quarantineEntries = quarantineEntries(i);
-    st.healthTransitions = sh.engine->monitor().transitions();
-    if (sh.journal) {
+    if (sh.journal)
         st.lastSeq = sh.journal->lastSeq();
-        st.lastDurableSeq = sh.journal->lastDurableSeq();
-    }
     return st;
 }
 

@@ -3,6 +3,10 @@
  * ShardedChisel: the keyspace partitioned across N fault-isolated
  * engine shards (docs/sharding.md).
  *
+ * This is the serving plane: the RPC service, /healthz and the soaks
+ * run on it; a one-shard plane is the single-engine shape, its
+ * monitor, scrubs and resizes reached through shardEngine(0).
+ *
  * Each shard owns a full ConcurrentChisel — its own engine image
  * pair, control thread (when a periodic duty is set), TTL/GC clock,
  * and five-state HealthMonitor — plus its own write-ahead journal and
@@ -14,9 +18,8 @@
  *
  * The point of the split is *containment*: a parity storm, setup
  * failure streak, or watchdog trip quarantines one shard's keyspace
- * slice, and the recovery ladder (purge -> scrub -> resetup ->
- * snapshot-restore) runs on that shard's control thread without
- * pausing siblings.  lookup()/apply() themselves route around
+ * slice, and the recovery ladder (purge -> scrub -> resetup) runs
+ * on that shard's control thread without pausing siblings.  lookup()/apply() themselves route around
  * nothing — shedding is a service-layer decision (ChiselService
  * consults shardHealth() per request; /healthz turns 503 only when a
  * majority of shards are sick).
@@ -65,10 +68,9 @@ struct ShardedOptions
     ChiselConfig config;
 
     /**
-     * Per-shard ConcurrentChisel template.  Journal hooks and
-     * recoverySnapshotPath are overwritten per shard (the sharded
-     * layer owns journaling); everything else applies to each shard
-     * as-is.
+     * Per-shard ConcurrentChisel template.  Journal hooks are
+     * overwritten per shard (the sharded layer owns journaling);
+     * everything else applies to each shard as-is.
      */
     concurrent::ConcurrentOptions engine;
 
@@ -114,11 +116,8 @@ struct ShardStatus
     uint64_t generation = 0;
     size_t routes = 0;
     uint64_t updatesApplied = 0;
-    uint64_t expired = 0;
     uint64_t quarantineEntries = 0;  ///< monitor + forced.
-    uint64_t healthTransitions = 0;
     uint64_t lastSeq = 0;            ///< 0 without a journal.
-    uint64_t lastDurableSeq = 0;
 };
 
 class ShardedChisel
@@ -315,6 +314,9 @@ class ShardedChisel
         /** induceHealth(Quarantined) count (monitor can't see it). */
         std::atomic<uint64_t> forcedQuarantines{0};
     };
+
+    /** The unexpired induceHealth() state of shard @p i, or kCount. */
+    health::HealthState activeOverride(size_t i) const;
 
     /** Build shard @p i's engine (cold or via the recovery ladder). */
     void buildShard(size_t i, const RoutingTable &slice);

@@ -37,7 +37,6 @@ namespace chisel {
 
 class ChiselEngine;
 
-namespace concurrent { class ConcurrentChisel; }
 namespace obs { class IntrospectionServer; }
 
 namespace telemetry {
@@ -181,13 +180,6 @@ class TelemetrySession
 
     /** No-op when the session is disabled. */
     void attach(ChiselEngine &engine);
-
-    /**
-     * Expose @p engine through the introspection server's /healthz
-     * (no-op without --introspect-port).  The engine must outlive
-     * the session or be detached by stopping the server first.
-     */
-    void attachIntrospection(const concurrent::ConcurrentChisel &engine);
 
     bool enabled() const { return engineTelemetry_ != nullptr; }
 

@@ -221,22 +221,25 @@ TEST(HealthMonitor, RelapseInRecoveringFallsBack)
     EXPECT_EQ(mon.sample(critLevel()), HealthState::Degraded);
 }
 
-TEST(HealthMonitor, QuarantineLadderEscalatesOnFailure)
+TEST(HealthMonitor, QuarantineStillCriticalRearmsResetup)
 {
     HealthMonitor mon;
-    // 2 criticals reach Degraded, 3 more reach Quarantined — exactly,
-    // so no in-quarantine streak has escalated the rung yet.
+    // 2 criticals reach Degraded, 3 more reach Quarantined.
     for (int i = 0; i < 5; ++i)
         mon.sample(critLevel());
     ASSERT_EQ(mon.state(), HealthState::Quarantined);
 
-    // First rung: resetup.  Report failure -> next rung arms.
+    // Resetup is the last rung: its failure arms nothing else, and
+    // every 3 further critical samples re-arm it.
     EXPECT_EQ(mon.takeAction(), RecoveryAction::Resetup);
     mon.actionCompleted(RecoveryAction::Resetup, false);
-    EXPECT_EQ(mon.takeAction(), RecoveryAction::SnapshotRestore);
-    mon.actionCompleted(RecoveryAction::SnapshotRestore, false);
-    // Ladder wraps back rather than giving up.
-    EXPECT_EQ(mon.takeAction(), RecoveryAction::Resetup);
+    for (int round = 0; round < 2; ++round) {
+        mon.sample(critLevel());
+        mon.sample(critLevel());
+        EXPECT_EQ(mon.takeAction(), RecoveryAction::None);
+        EXPECT_EQ(mon.sample(critLevel()), HealthState::Quarantined);
+        EXPECT_EQ(mon.takeAction(), RecoveryAction::Resetup);
+    }
 }
 
 TEST(HealthMonitor, WatchdogBypassesHysteresis)

@@ -4,12 +4,14 @@
  * routing (status codes, content types, attach/detach behavior), the
  * ?n= flight bound, and the full loopback integration — the server
  * answering /metrics, /healthz, /vars and /flight over real HTTP
- * while a live writer and two reader threads hammer the engine.
+ * while a live writer and two reader threads hammer a one-shard
+ * serving plane.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -20,17 +22,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "concurrent/concurrent_engine.hh"
 #include "obs/introspect.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 #include "telemetry/flight.hh"
 #include "telemetry/metrics.hh"
 
 namespace chisel {
 namespace {
 
-using concurrent::ConcurrentChisel;
 using obs::IntrospectResponse;
 using obs::IntrospectionServer;
 using telemetry::FlightKind;
@@ -70,7 +71,7 @@ TEST(Introspect, UnattachedSourcesAre404)
     EXPECT_EQ(server.handle("GET", "/vars").status, 404);
     EXPECT_EQ(server.handle("GET", "/flight").status, 404);
     // /healthz answers even unattached: "state": "unknown", 200 —
-    // a probe must distinguish "no engine wired" from "engine down".
+    // a probe must distinguish "no plane wired" from "plane down".
     IntrospectResponse hz = server.handle("GET", "/healthz");
     EXPECT_EQ(hz.status, 200);
     EXPECT_NE(hz.body.find("unknown"), std::string::npos);
@@ -195,7 +196,7 @@ httpGet(uint16_t port, const std::string &target)
     return reply;
 }
 
-TEST(Introspect, ServesLiveEngineOverLoopback)
+TEST(Introspect, ServesLivePlaneOverLoopback)
 {
     RoutingTable table = generateScaledTable(2000, 32, 0x900);
     std::vector<Key128> keys =
@@ -203,7 +204,9 @@ TEST(Introspect, ServesLiveEngineOverLoopback)
     UpdateTraceGenerator gen(table, TraceProfile{}, 32, 0x902);
     std::vector<Update> updates = gen.generate(4000);
 
-    ConcurrentChisel engine(table);
+    shard::ShardedOptions popts;
+    popts.shards = 1;
+    shard::ShardedChisel plane(table, popts);
 
     MetricRegistry registry;
     registry.counter("obs.integration.marker").inc(7);
@@ -213,7 +216,7 @@ TEST(Introspect, ServesLiveEngineOverLoopback)
     IntrospectionServer server;
     server.attachRegistry(&registry);
     server.attachFlight(&flightRec);
-    server.attachEngine(&engine);
+    server.attachShards(&plane);
     ASSERT_TRUE(server.start(0));
     uint16_t port = server.port();
     ASSERT_GT(port, 0);
@@ -224,18 +227,24 @@ TEST(Introspect, ServesLiveEngineOverLoopback)
     std::thread writer([&] {
         size_t i = 0;
         while (!stop.load(std::memory_order_acquire))
-            engine.apply(updates[i++ % updates.size()]);
+            plane.apply(updates[i++ % updates.size()]);
     });
     std::vector<std::thread> readers;
     for (int t = 0; t < 2; ++t) {
         readers.emplace_back([&, t] {
             size_t i = static_cast<size_t>(t);
             while (!stop.load(std::memory_order_acquire))
-                engine.lookup(keys[i++ % keys.size()]);
+                plane.lookup(keys[i++ % keys.size()]);
         });
     }
 
-    // Several scrape rounds against the moving engine.
+    // On a loaded host the writer may not have run yet: scrape only
+    // once it has applied something (bounded at about 5 s).
+    for (int ms = 0; plane.updatesApplied() == 0 && ms < 5000; ++ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(plane.updatesApplied(), 0u);
+
+    // Several scrape rounds against the moving plane.
     for (int round = 0; round < 3; ++round) {
         HttpReply metrics = httpGet(port, "/metrics");
         EXPECT_EQ(metrics.status, 200);
@@ -278,7 +287,7 @@ TEST(Introspect, ServesLiveEngineOverLoopback)
 
     server.stop();
     FlightRecorder::install(nullptr);
-    EXPECT_GT(engine.updatesApplied(), 0u);
+    EXPECT_GT(plane.updatesApplied(), 0u);
 }
 
 } // anonymous namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -432,6 +433,50 @@ TEST(ShardedPersist, FingerprintBindsShardIdentity)
     EXPECT_NE(a, 0u);
 }
 
+// A persisted shard wedged past the update watchdog (as an fsync
+// stall would) walks the Quarantined ladder; no rung may roll it back
+// past its journal.  The routes announced after boot are in the
+// journal tail, not in the boot snapshot.
+TEST(ShardedPersist, QuarantineLadderKeepsJournaledUpdates)
+{
+    std::string dir = tempDir("ladder");
+    RoutingTable table = generateScaledTable(200, 32, /*seed=*/23);
+    ShardedOptions o = smallOptions(1, 8);
+    o.persistDir = dir;
+    ShardedChisel plane(table, o);
+
+    // /32s: each resolves to exactly itself.
+    std::vector<Update> fresh;
+    for (uint32_t i = 0; fresh.size() < 50; ++i) {
+        Update u = announceOf(0xC6120000u + i * 257u, 32, 5000 + i);
+        if (!table.contains(u.prefix))
+            fresh.push_back(u);
+    }
+    for (const Update &u : fresh)
+        plane.apply(u);
+    const size_t routes = plane.routeCount();
+    ASSERT_EQ(routes, table.size() + fresh.size());
+
+    health::HealthMonitor &mon = plane.shardEngine(0).monitor();
+    mon.beginUpdate(health::HealthMonitor::Clock::now() -
+                    std::chrono::seconds(10));
+    for (int i = 0; i < 12; ++i)
+        plane.healthTickAll();
+    mon.endUpdate();
+    // Quarantined once, and still critical past its first rung.
+    EXPECT_EQ(mon.entered(health::HealthState::Quarantined), 1u);
+    EXPECT_GE(mon.actionsTaken(health::RecoveryAction::Resetup), 2u);
+
+    EXPECT_EQ(plane.routeCount(), routes);
+    for (const Update &u : fresh) {
+        LookupResult r = plane.lookup(u.prefix.bits());
+        ASSERT_TRUE(r.found) << u.prefix.cidr();
+        EXPECT_EQ(r.nextHop, u.nextHop) << u.prefix.cidr();
+        EXPECT_EQ(r.matchedLength, 32u) << u.prefix.cidr();
+    }
+    std::filesystem::remove_all(dir);
+}
+
 // ---- Shard-aware service shedding ------------------------------------
 
 struct ShardedServiceHarness
@@ -548,12 +593,17 @@ TEST(ShardedObs, HealthzPerShardBreakdown)
     ShardedChisel plane(table, smallOptions(4, 8));
     obs::IntrospectionServer server;
     server.attachShards(&plane);
+    plane.shardEngine(2).scrubNow();
 
     obs::IntrospectResponse res = server.handle("GET", "/healthz");
     EXPECT_EQ(res.status, 200);
     EXPECT_NE(res.body.find("\"shard_count\": 4"), std::string::npos);
     EXPECT_NE(res.body.find("\"shards\""), std::string::npos);
     EXPECT_NE(res.body.find("\"sick_shards\": 0"), std::string::npos);
+    // Per-shard scrub and dirty-retention gauges; shard 2 scrubbed.
+    EXPECT_NE(res.body.find("\"scrub_passes\": 1"), std::string::npos);
+    EXPECT_NE(res.body.find("\"dirty_groups\": 0"), std::string::npos);
+    EXPECT_NE(res.body.find("\"dirty_peak\": 0"), std::string::npos);
 
     // One quarantined shard: still 200 (containment), breakdown
     // shows the sick slice.
@@ -571,6 +621,40 @@ TEST(ShardedObs, HealthzPerShardBreakdown)
     EXPECT_NE(res.body.find("\"sick_shards\": 3"), std::string::npos);
 
     server.attachShards(nullptr);
+}
+
+// On a one-shard plane the one shard is the majority: its monitor's
+// Quarantined (here via the update watchdog) turns the probe red.
+TEST(ShardedObs, OneShardQuarantinedIs503)
+{
+    ShardedChisel plane(generateScaledTable(200, 32, 21),
+                        smallOptions(1, 8));
+    obs::IntrospectionServer server;
+    server.attachShards(&plane);
+    EXPECT_EQ(server.handle("GET", "/healthz").status, 200);
+
+    health::HealthMonitor &mon = plane.shardEngine(0).monitor();
+    mon.beginUpdate(health::HealthMonitor::Clock::now() -
+                    std::chrono::seconds(10));
+    plane.healthTickAll();
+    mon.endUpdate();
+    EXPECT_EQ(server.handle("GET", "/healthz").status, 503);
+    plane.healthTickAll();   // Clean sample: Recovering serves.
+    EXPECT_EQ(server.handle("GET", "/healthz").status, 200);
+}
+
+// A timed induceHealth() expires from status() as from shardHealth():
+// the state falls back to the monitor's AND the induced flag clears.
+TEST(ShardedObs, TimedInduceExpiresFromStatus)
+{
+    ShardedChisel plane(generateScaledTable(200, 32, 29),
+                        smallOptions(2, 8));
+    plane.induceHealth(1, health::HealthState::Quarantined, /*ms=*/1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    shard::ShardStatus st = plane.status(1);
+    EXPECT_FALSE(st.induced);
+    EXPECT_EQ(st.state, health::HealthState::Healthy);
+    EXPECT_TRUE(st.serving);
 }
 
 TEST(ShardedObs, PrometheusShardLabels)
